@@ -1,6 +1,7 @@
 # conspec build/verify targets.
 #
-#   make tier1          — the PR gate: build, lint (gofmt + vet), full test
+#   make tier1          — the PR gate: build, lint (gofmt + vet), vet of the
+#                         perfbench benchmark module, full test
 #                         suite, the race detector over the experiment
 #                         engine's worker pool, the obs sinks, and the serve
 #                         daemon, the chaos gate (fault-injection corpus +
@@ -32,7 +33,7 @@ GO ?= go
 # the end-to-end Figure 5 evaluation plus the per-component microbenches.
 TRACKED_BENCHES = ^(BenchmarkFig5|BenchmarkSimulatorThroughput|BenchmarkSecMatrixDispatch|BenchmarkSecMatrixHazardCheck|BenchmarkTPBufQuery|BenchmarkCacheAccess)$$
 
-.PHONY: all build fmt vet lint lint-defense test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix tier1 bench bench-snapshot bench-compare
+.PHONY: all build fmt vet perfbench-vet lint lint-defense test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix tier1 bench bench-snapshot bench-compare
 
 all: tier1
 
@@ -53,6 +54,13 @@ lint-defense:
 	sh scripts/lint_defense.sh
 
 lint: fmt vet lint-defense
+
+# perfbench is a module of its own (replace conspec => ../) that compiles
+# against internal APIs, so `go test ./...` never builds it: vet it here so
+# an API change that breaks the benchmark fails the gate. Offline: the
+# module has no dependencies beyond conspec.
+perfbench-vet:
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet .
 
 test:
 	$(GO) test ./...
@@ -123,7 +131,7 @@ trace-smoke:
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
-tier1: build lint test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix
+tier1: build lint perfbench-vet test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x

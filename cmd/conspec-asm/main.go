@@ -93,7 +93,7 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		cpu.AttachSink(obs.NewPipeViewSink(f))
+		cpu.AttachSink(obs.NewPipeViewSink(f, cpu.Disasm))
 	}
 	cpu.SetPC(prog.Base)
 	res := cpu.Run(*maxCycles)

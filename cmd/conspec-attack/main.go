@@ -182,7 +182,7 @@ func main() {
 				os.Exit(1)
 			}
 			defer f.Close()
-			setup = func(c *pipeline.CPU) { c.AttachSink(obs.NewPipeViewSink(f)) }
+			setup = func(c *pipeline.CPU) { c.AttachSink(obs.NewPipeViewSink(f, c.Disasm)) }
 		}
 		o := h.RunWith(cfg, sec, setup)
 		fmt.Println(o)

@@ -232,7 +232,7 @@ func main() {
 				os.Exit(1)
 			}
 			closers = append(closers, pw)
-			c.AttachSink(obs.NewPipeViewSink(pw))
+			c.AttachSink(obs.NewPipeViewSink(pw, c.Disasm))
 		}
 	}
 	res := exp.RunWorkloadWith(w, spec, setup)

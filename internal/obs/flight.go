@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -11,9 +10,10 @@ import (
 // of the most recent microarchitectural events, recorded unconditionally
 // while armed at zero allocations per cycle, and rendered into a structured
 // dump only on a failure path (watchdog trip, audit violation, fault
-// conviction). Unlike EventSink tracers — which carry disassembly strings
-// and may allocate — flight events are six machine words with no pointers,
-// so recording is a ring store and nothing more.
+// conviction). FlightEvent is the pipeline's only event type: the recorder
+// is one EventSink among others (the text tracer and PipeViewSink consume
+// the same stream). An event is six machine words with no pointers, so
+// delivering it allocates nothing and recording it is a ring store.
 
 // FlightKind classifies one flight-recorder event.
 type FlightKind uint8
@@ -118,9 +118,9 @@ const (
 	DefaultFlightCapacity = 16384
 )
 
-// FlightRecorder is a fixed-capacity ring of FlightEvents. All methods are
-// nil-safe: a nil *FlightRecorder records nothing, so call sites on the
-// cycle loop need no guard beyond the method's own receiver check.
+// FlightRecorder is a fixed-capacity ring of FlightEvents and an
+// EventSink. All methods are nil-safe: a nil *FlightRecorder records and
+// dumps nothing.
 type FlightRecorder struct {
 	window  uint64
 	ring    []FlightEvent
@@ -159,9 +159,9 @@ func (f *FlightRecorder) Reset() {
 	f.head, f.count, f.dropped = 0, 0, 0
 }
 
-// Record appends one event, overwriting the oldest when the ring is full.
+// Event appends ev, overwriting the oldest event when the ring is full.
 // It never allocates.
-func (f *FlightRecorder) Record(cycle uint64, kind FlightKind, seq, pc, aux uint64, suspect bool) {
+func (f *FlightRecorder) Event(ev FlightEvent) {
 	if f == nil {
 		return
 	}
@@ -170,11 +170,14 @@ func (f *FlightRecorder) Record(cycle uint64, kind FlightKind, seq, pc, aux uint
 	} else {
 		f.count++
 	}
-	f.ring[f.head] = FlightEvent{Cycle: cycle, Kind: kind, Seq: seq, PC: pc, Aux: aux, Suspect: suspect}
+	f.ring[f.head] = ev
 	if f.head++; f.head == len(f.ring) {
 		f.head = 0
 	}
 }
+
+// Flush is a no-op: the ring is read through Dump.
+func (f *FlightRecorder) Flush() error { return nil }
 
 // FlightDump is the structured rendering of the ring at a failure point:
 // every retained event from the last Window cycles before Cycle, oldest
@@ -231,23 +234,16 @@ func (f *FlightRecorder) Dump(now uint64) *FlightDump {
 }
 
 // flightPipeView rebuilds an O3PipeView fragment from the per-instruction
-// stage events in the dump window, using the same seven-line record format
-// as PipeViewSink. Flight events carry no disassembly, so the label is the
-// PC; instructions squashed inside the window retire with tick 0, and
-// instructions still in flight at the dump point are rendered the same way
-// (they never retired).
+// stage events in the dump window, using PipeViewSink's record writer.
+// Flight dumps carry no disassembly, so the label is the PC; instructions
+// squashed inside the window retire with tick 0, and instructions still in
+// flight at the dump point are rendered the same way (they never retired).
 func flightPipeView(events []FlightEvent) string {
-	type rec struct {
-		pc                                uint64
-		fetch, dispatch, issue, writeback uint64
-		retire                            uint64
-		suspect                           bool
-	}
-	recs := make(map[uint64]*rec)
-	get := func(ev FlightEvent) *rec {
+	recs := make(map[uint64]*pvRecord)
+	get := func(ev FlightEvent) *pvRecord {
 		r := recs[ev.Seq]
 		if r == nil {
-			r = &rec{pc: ev.PC}
+			r = &pvRecord{pc: ev.PC}
 			recs[ev.Seq] = r
 		}
 		if r.pc == 0 {
@@ -266,33 +262,16 @@ func flightPipeView(events []FlightEvent) string {
 			r.issue = ev.Cycle
 			r.suspect = r.suspect || ev.Suspect
 		case FlightWriteback:
-			get(ev).writeback = ev.Cycle
+			get(ev).complete = ev.Cycle
 		case FlightCommit:
 			get(ev).retire = ev.Cycle
 		}
 	}
-	if len(recs) == 0 {
-		return ""
-	}
-	seqs := make([]uint64, 0, len(recs))
-	for seq := range recs {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	var sb strings.Builder
-	for _, seq := range seqs {
+	for _, seq := range seqsFrom(recs, 0) {
 		r := recs[seq]
-		disasm := fmt.Sprintf("pc=0x%x", r.pc)
-		if r.suspect {
-			disasm += " [suspect]"
-		}
-		fmt.Fprintf(&sb, "O3PipeView:fetch:%d:0x%016x:0:%d:%s\n", r.fetch, r.pc, seq, disasm)
-		fmt.Fprintf(&sb, "O3PipeView:decode:%d\n", r.dispatch)
-		fmt.Fprintf(&sb, "O3PipeView:rename:%d\n", r.dispatch)
-		fmt.Fprintf(&sb, "O3PipeView:dispatch:%d\n", r.dispatch)
-		fmt.Fprintf(&sb, "O3PipeView:issue:%d\n", r.issue)
-		fmt.Fprintf(&sb, "O3PipeView:complete:%d\n", r.writeback)
-		fmt.Fprintf(&sb, "O3PipeView:retire:%d:store:0\n", r.retire)
+		r.label = fmt.Sprintf("pc=0x%x", r.pc)
+		r.write(&sb, seq)
 	}
 	return sb.String()
 }

@@ -14,7 +14,7 @@ func TestFlightRecorderRingAndTrim(t *testing.T) {
 	}
 	// Six events into a 4-slot ring: the first two are overwritten.
 	for i := uint64(1); i <= 6; i++ {
-		f.Record(i*10, FlightFetch, i, 0x1000+i, 0, false)
+		f.Event(FlightEvent{Cycle: i * 10, Kind: FlightFetch, Seq: i, PC: 0x1000 + i})
 	}
 	d := f.Dump(60)
 	if d == nil {
@@ -48,7 +48,7 @@ func TestFlightRecorderRingAndTrim(t *testing.T) {
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
-	f.Record(1, FlightCommit, 1, 0, 0, false) // must not panic
+	f.Event(FlightEvent{Cycle: 1, Kind: FlightCommit, Seq: 1}) // must not panic
 	f.Reset()
 	if f.Window() != 0 {
 		t.Fatal("nil Window() != 0")
@@ -63,7 +63,7 @@ func TestFlightRecorderDefaults(t *testing.T) {
 	if f.Window() != DefaultFlightWindow {
 		t.Fatalf("default window = %d, want %d", f.Window(), DefaultFlightWindow)
 	}
-	f.Record(1, FlightFetch, 1, 0, 0, false)
+	f.Event(FlightEvent{Cycle: 1, Kind: FlightFetch, Seq: 1})
 	if d := f.Dump(1); d.Capacity != DefaultFlightCapacity {
 		t.Fatalf("default capacity = %d, want %d", d.Capacity, DefaultFlightCapacity)
 	}
@@ -74,19 +74,19 @@ func TestFlightRecorderDefaults(t *testing.T) {
 // the stable string labels for event kinds.
 func TestFlightDumpGoldenRoundTrip(t *testing.T) {
 	f := NewFlightRecorder(64, 32)
-	f.Record(10, FlightFetch, 7, 0x400, 0, false)
-	f.Record(11, FlightDispatch, 7, 0x400, 0, false)
-	f.Record(11, FlightSecRowSet, 7, 0x400, 3, false)
-	f.Record(12, FlightSuspectOpen, 7, 0x400, 0, true)
-	f.Record(20, FlightSuspectClose, 7, 0x400, 8, false)
-	f.Record(20, FlightIssue, 7, 0x400, 0, true)
-	f.Record(21, FlightSecRowClear, 7, 0x400, 3, false)
-	f.Record(25, FlightTPBufAlloc, 7, 0x400, 2, false)
-	f.Record(26, FlightTPBufHit, 7, 0x400, 2, true)
-	f.Record(30, FlightWriteback, 7, 0x400, 0, false)
-	f.Record(31, FlightCommit, 7, 0x400, 0, false)
-	f.Record(40, FlightSkipSpan, 0, 0, 17, false)
-	f.Record(60, FlightSquash, 9, 0, 0x440, false)
+	f.Event(FlightEvent{Cycle: 10, Kind: FlightFetch, Seq: 7, PC: 0x400})
+	f.Event(FlightEvent{Cycle: 11, Kind: FlightDispatch, Seq: 7, PC: 0x400})
+	f.Event(FlightEvent{Cycle: 11, Kind: FlightSecRowSet, Seq: 7, PC: 0x400, Aux: 3})
+	f.Event(FlightEvent{Cycle: 12, Kind: FlightSuspectOpen, Seq: 7, PC: 0x400, Suspect: true})
+	f.Event(FlightEvent{Cycle: 20, Kind: FlightSuspectClose, Seq: 7, PC: 0x400, Aux: 8})
+	f.Event(FlightEvent{Cycle: 20, Kind: FlightIssue, Seq: 7, PC: 0x400, Suspect: true})
+	f.Event(FlightEvent{Cycle: 21, Kind: FlightSecRowClear, Seq: 7, PC: 0x400, Aux: 3})
+	f.Event(FlightEvent{Cycle: 25, Kind: FlightTPBufAlloc, Seq: 7, PC: 0x400, Aux: 2})
+	f.Event(FlightEvent{Cycle: 26, Kind: FlightTPBufHit, Seq: 7, PC: 0x400, Aux: 2, Suspect: true})
+	f.Event(FlightEvent{Cycle: 30, Kind: FlightWriteback, Seq: 7, PC: 0x400})
+	f.Event(FlightEvent{Cycle: 31, Kind: FlightCommit, Seq: 7, PC: 0x400})
+	f.Event(FlightEvent{Cycle: 40, Kind: FlightSkipSpan, Aux: 17})
+	f.Event(FlightEvent{Cycle: 60, Kind: FlightSquash, Seq: 9, Aux: 0x440})
 	d := f.Dump(60)
 
 	b, err := json.Marshal(d)
@@ -128,9 +128,9 @@ func TestFlightKindUnmarshalUnknown(t *testing.T) {
 func TestFlightRecordZeroAlloc(t *testing.T) {
 	f := NewFlightRecorder(128, 64)
 	n := testing.AllocsPerRun(1000, func() {
-		f.Record(1, FlightIssue, 2, 3, 4, true)
+		f.Event(FlightEvent{Cycle: 1, Kind: FlightIssue, Seq: 2, PC: 3, Aux: 4, Suspect: true})
 	})
 	if n != 0 {
-		t.Fatalf("Record allocates %v per call, want 0", n)
+		t.Fatalf("Event allocates %v per call, want 0", n)
 	}
 }

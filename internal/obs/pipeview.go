@@ -29,95 +29,111 @@ import (
 //
 // Records accumulate from events and are written at retire/squash time, so
 // attaching the sink mid-run is safe: events for instructions fetched
-// before attachment are ignored.
+// before attachment are ignored. The label is resolved through disasm when
+// the fetch event arrives: the same cycle and memory the frontend decoded
+// the instruction from. An instruction is marked blocked when a
+// suspect-open event (a hazard filter blocked it) precedes its issue or
+// commit event.
 type PipeViewSink struct {
-	w    *bufio.Writer
-	recs map[uint64]*pvRecord
+	w      *bufio.Writer
+	disasm Disasm
+	recs   map[uint64]*pvRecord
 }
 
+// pvRecord accumulates one instruction's O3PipeView record.
 type pvRecord struct {
-	pc       uint64
-	disasm   string
-	fetch    uint64
-	dispatch uint64
-	issue    uint64
-	complete uint64
-	suspect  bool
-	blocked  bool
+	pc, fetch, dispatch, issue, complete, retire uint64
+	label                                        string
+	suspect, blocked                             bool
+	// opened latches a suspect-open event; PipeViewSink folds it into
+	// blocked at issue and at commit.
+	opened bool
 }
 
-// NewPipeViewSink builds an O3PipeView sink writing to w.
-func NewPipeViewSink(w io.Writer) *PipeViewSink {
-	return &PipeViewSink{
-		w:    bufio.NewWriter(w),
-		recs: make(map[uint64]*pvRecord),
+// write renders r as the seven-line O3PipeView record of instruction seq.
+// Both PipeViewSink and the flight dump's pipeview tail go through it.
+func (r *pvRecord) write(w io.Writer, seq uint64) {
+	label := r.label
+	if r.suspect {
+		label += " [suspect]"
 	}
-}
-
-// Event accumulates stage timestamps and emits the record when the
-// instruction leaves the machine.
-func (p *PipeViewSink) Event(ev TraceEvent) {
-	switch ev.Kind {
-	case EvFetch:
-		p.recs[ev.Seq] = &pvRecord{pc: ev.PC, disasm: ev.Disasm, fetch: ev.Cycle}
-	case EvDispatch:
-		if r := p.recs[ev.Seq]; r != nil {
-			r.dispatch = ev.Cycle
-		}
-	case EvIssue:
-		if r := p.recs[ev.Seq]; r != nil {
-			r.issue = ev.Cycle
-			r.suspect = r.suspect || ev.Suspect
-			r.blocked = r.blocked || ev.Blocked
-		}
-	case EvWriteback:
-		if r := p.recs[ev.Seq]; r != nil {
-			r.complete = ev.Cycle
-		}
-	case EvCommit:
-		if r := p.recs[ev.Seq]; r != nil {
-			r.blocked = r.blocked || ev.Blocked
-			p.emit(ev.Seq, r, ev.Cycle)
-			delete(p.recs, ev.Seq)
-		}
-	case EvSquash:
-		// Range squash: every pending record at or above the squash point
-		// retires with tick 0, which Konata draws as a flushed instruction.
-		p.flushFrom(ev.Seq)
+	if r.blocked {
+		label += " [blocked]"
 	}
+	fmt.Fprintf(w, "O3PipeView:fetch:%d:0x%016x:0:%d:%s\n", r.fetch, r.pc, seq, label)
+	fmt.Fprintf(w, "O3PipeView:decode:%d\n", r.dispatch)
+	fmt.Fprintf(w, "O3PipeView:rename:%d\n", r.dispatch)
+	fmt.Fprintf(w, "O3PipeView:dispatch:%d\n", r.dispatch)
+	fmt.Fprintf(w, "O3PipeView:issue:%d\n", r.issue)
+	fmt.Fprintf(w, "O3PipeView:complete:%d\n", r.complete)
+	fmt.Fprintf(w, "O3PipeView:retire:%d:store:0\n", r.retire)
 }
 
-// flushFrom emits every pending record with seq >= from as squashed, in
-// sequence order so the output is deterministic.
-func (p *PipeViewSink) flushFrom(from uint64) {
+// seqsFrom returns the sequence numbers >= from among recs, ascending, so
+// output order is deterministic.
+func seqsFrom(recs map[uint64]*pvRecord, from uint64) []uint64 {
 	var seqs []uint64
-	for seq := range p.recs {
+	for seq := range recs {
 		if seq >= from {
 			seqs = append(seqs, seq)
 		}
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		p.emit(seq, p.recs[seq], 0)
-		delete(p.recs, seq)
+	return seqs
+}
+
+// NewPipeViewSink builds an O3PipeView sink writing to w that labels
+// instructions through disasm.
+func NewPipeViewSink(w io.Writer, disasm Disasm) *PipeViewSink {
+	return &PipeViewSink{
+		w:      bufio.NewWriter(w),
+		disasm: disasm,
+		recs:   make(map[uint64]*pvRecord),
 	}
 }
 
-func (p *PipeViewSink) emit(seq uint64, r *pvRecord, retire uint64) {
-	disasm := r.disasm
-	if r.suspect {
-		disasm += " [suspect]"
+// Event accumulates stage timestamps and emits the record when the
+// instruction leaves the machine.
+func (p *PipeViewSink) Event(ev FlightEvent) {
+	switch ev.Kind {
+	case FlightFetch:
+		p.recs[ev.Seq] = &pvRecord{pc: ev.PC, label: p.disasm(ev.PC), fetch: ev.Cycle}
+		return
+	case FlightSquash:
+		// Range squash: every pending record at or above the squash point
+		// retires with tick 0, which Konata draws as a flushed instruction.
+		p.flushFrom(ev.Seq)
+		return
 	}
-	if r.blocked {
-		disasm += " [blocked]"
+	r := p.recs[ev.Seq]
+	if r == nil {
+		return
 	}
-	fmt.Fprintf(p.w, "O3PipeView:fetch:%d:0x%016x:0:%d:%s\n", r.fetch, r.pc, seq, disasm)
-	fmt.Fprintf(p.w, "O3PipeView:decode:%d\n", r.dispatch)
-	fmt.Fprintf(p.w, "O3PipeView:rename:%d\n", r.dispatch)
-	fmt.Fprintf(p.w, "O3PipeView:dispatch:%d\n", r.dispatch)
-	fmt.Fprintf(p.w, "O3PipeView:issue:%d\n", r.issue)
-	fmt.Fprintf(p.w, "O3PipeView:complete:%d\n", r.complete)
-	fmt.Fprintf(p.w, "O3PipeView:retire:%d:store:0\n", retire)
+	switch ev.Kind {
+	case FlightDispatch:
+		r.dispatch = ev.Cycle
+	case FlightSuspectOpen:
+		r.opened = true
+	case FlightIssue:
+		r.issue = ev.Cycle
+		r.suspect = r.suspect || ev.Suspect
+		r.blocked = r.blocked || r.opened
+	case FlightWriteback:
+		r.complete = ev.Cycle
+	case FlightCommit:
+		r.blocked = r.blocked || r.opened
+		r.retire = ev.Cycle
+		r.write(p.w, ev.Seq)
+		delete(p.recs, ev.Seq)
+	}
+}
+
+// flushFrom emits every pending record with seq >= from as squashed.
+func (p *PipeViewSink) flushFrom(from uint64) {
+	for _, seq := range seqsFrom(p.recs, from) {
+		p.recs[seq].write(p.w, seq)
+		delete(p.recs, seq)
+	}
 }
 
 // Flush emits every still-pending record as squashed (the run ended with

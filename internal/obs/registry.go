@@ -7,16 +7,19 @@
 //     latencies, TPBuf occupancy, structure occupancies, squash depths;
 //   - an interval Sampler that snapshots every registered metric into an
 //     in-memory time series every N cycles, exported as JSONL or CSV;
-//   - an EventSink interface fed one TraceEvent per pipeline event, with a
-//     human-readable TextSink and an O3PipeView (Konata-compatible)
-//     PipeViewSink implementation.
+//   - one pipeline event stream: each event is a six-word pointer-free
+//     FlightEvent delivered to every attached EventSink — the
+//     FlightRecorder ring, the human-readable TextSink and the O3PipeView
+//     (Konata-compatible) PipeViewSink, which look up disassembly (Disasm)
+//     only when they render.
 //
 // The hot-path contract: with nothing attached every recording call is a
-// nil-receiver no-op (a single branch-predicted test); with metrics
-// attached, recording is a bounds scan plus an array write — never an
-// allocation. Allocation is confined to construction and to export, which
-// run outside the measured cycle loop. Event sinks are debug/analysis
-// machinery and carry no such guarantee.
+// nil-receiver no-op or an empty-slice test (a single branch-predicted
+// test); with metrics attached, recording is a bounds scan plus an array
+// write; with sinks attached, delivery is one by-value interface call per
+// sink — never an allocation, and the ring's store allocates nothing
+// either. Allocation is confined to construction, to export, and to the
+// text and O3PipeView renderers' formatting.
 package obs
 
 import "fmt"

@@ -5,86 +5,62 @@ import (
 	"io"
 )
 
-// EventKind classifies one pipeline trace event.
-type EventKind uint8
-
-const (
-	// EvFetch: the instruction entered the fetch queue.
-	EvFetch EventKind = iota
-	// EvDispatch: renamed and allocated into ROB/IQ/LSQ.
-	EvDispatch
-	// EvIssue: accepted by the select logic and sent to a functional unit.
-	EvIssue
-	// EvWriteback: result became visible to the issue queue.
-	EvWriteback
-	// EvCommit: retired architecturally.
-	EvCommit
-	// EvSquash is a pipeline-level event, not a per-instruction one: every
-	// in-flight instruction with sequence number >= Seq was squashed and
-	// fetch was re-steered to PC.
-	EvSquash
-)
-
-// String returns the stage label used by the text tracer.
-func (k EventKind) String() string {
-	switch k {
-	case EvFetch:
-		return "FETCH"
-	case EvDispatch:
-		return "DISPATCH"
-	case EvIssue:
-		return "ISSUE"
-	case EvWriteback:
-		return "WB"
-	case EvCommit:
-		return "COMMIT"
-	case EvSquash:
-		return "SQUASH"
-	}
-	return "UNKNOWN"
-}
-
-// TraceEvent is one pipeline event. For per-instruction kinds Seq/PC/Disasm
-// identify the dynamic instruction; Suspect and Blocked carry the security
-// state known at emission time (the suspect speculation flag is assigned at
-// issue, so fetch/dispatch events never carry it).
-type TraceEvent struct {
-	Cycle   uint64
-	Kind    EventKind
-	Seq     uint64
-	PC      uint64
-	Suspect bool
-	Blocked bool
-	Disasm  string
-}
-
-// EventSink consumes pipeline trace events. Sinks run only when attached —
-// they may allocate and buffer; Flush is called once after the run to drain
-// any buffered state.
+// EventSink consumes the pipeline's event stream: one FlightEvent per
+// microarchitectural moment, the same stream the flight recorder keeps.
+// A sink handles the kinds it renders and ignores the rest. Flush is called
+// once after the run to drain any buffered state and report the first
+// write error.
 type EventSink interface {
-	Event(ev TraceEvent)
+	Event(ev FlightEvent)
 	Flush() error
 }
 
-// TextSink renders events in the human-readable one-line-per-event format
-// the debug tracer has always used.
-type TextSink struct {
-	w io.Writer
+// Disasm resolves an instruction address to its disassembly by reading the
+// simulated memory when the sink renders the event. Events carry no
+// strings, so the renderers take this lookup instead (obs does not depend
+// on the ISA package).
+type Disasm func(pc uint64) string
+
+// textStage holds the text tracer's stage labels for the per-instruction
+// kinds it renders.
+var textStage = [...]string{
+	FlightFetch:     "FETCH",
+	FlightDispatch:  "DISPATCH",
+	FlightIssue:     "ISSUE",
+	FlightWriteback: "WB",
+	FlightCommit:    "COMMIT",
 }
 
-// NewTextSink builds a text sink over w.
-func NewTextSink(w io.Writer) *TextSink { return &TextSink{w: w} }
+// TextSink renders the five stage events and squashes in the human-readable
+// one-line-per-event format the debug tracer has always used; every other
+// kind is ignored. It writes through, stops at the first write error and
+// reports it from Flush.
+type TextSink struct {
+	w      io.Writer
+	disasm Disasm
+	err    error
+}
 
-// Event writes one line.
-func (t *TextSink) Event(ev TraceEvent) {
-	if ev.Kind == EvSquash {
-		fmt.Fprintf(t.w, "%8d SQUASH   from seq=%d, redirect pc=%#x\n",
-			ev.Cycle, ev.Seq, ev.PC)
+// NewTextSink builds a text sink over w that labels instructions through
+// disasm.
+func NewTextSink(w io.Writer, disasm Disasm) *TextSink {
+	return &TextSink{w: w, disasm: disasm}
+}
+
+// Event writes one line for a stage or squash event.
+func (t *TextSink) Event(ev FlightEvent) {
+	if t.err != nil {
 		return
 	}
-	fmt.Fprintf(t.w, "%8d %-8s seq=%-6d pc=%#x  %s\n",
-		ev.Cycle, ev.Kind, ev.Seq, ev.PC, ev.Disasm)
+	switch ev.Kind {
+	case FlightFetch, FlightDispatch, FlightIssue, FlightWriteback, FlightCommit:
+		_, t.err = fmt.Fprintf(t.w, "%8d %-8s seq=%-6d pc=%#x  %s\n",
+			ev.Cycle, textStage[ev.Kind], ev.Seq, ev.PC, t.disasm(ev.PC))
+	case FlightSquash:
+		_, t.err = fmt.Fprintf(t.w, "%8d SQUASH   from seq=%d, redirect pc=%#x\n",
+			ev.Cycle, ev.Seq, ev.Aux)
+	}
 }
 
-// Flush is a no-op: the text sink writes through.
-func (t *TextSink) Flush() error { return nil }
+// Flush returns the first write error; the text sink holds no buffer.
+func (t *TextSink) Flush() error { return t.err }

@@ -6,7 +6,15 @@ import (
 	"conspec/internal/asm"
 	"conspec/internal/core"
 	"conspec/internal/isa"
+	"conspec/internal/obs"
 )
+
+// countingSink is an event sink that only counts what it is fed, so the
+// allocation check sees the pipeline's delivery cost and nothing else.
+type countingSink struct{ events uint64 }
+
+func (s *countingSink) Event(obs.FlightEvent) { s.events++ }
+func (s *countingSink) Flush() error          { return nil }
 
 // allocKernel builds a non-terminating kernel exercising every hot path:
 // dependent ALU chains, loads and stores over a strided buffer, a
@@ -46,24 +54,28 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		sec     SecurityConfig
 		metrics bool
 		flight  bool
+		sink    bool
 	}{
-		{"origin", SecurityConfig{Mechanism: core.Origin}, false, false},
-		{"cachehit-tpbuf", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, false, false},
-		{"ssbd", SecurityConfig{Mechanism: core.Origin, SSBD: true}, false, false},
+		{"origin", SecurityConfig{Mechanism: core.Origin}, false, false, false},
+		{"cachehit-tpbuf", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, false, false, false},
+		{"ssbd", SecurityConfig{Mechanism: core.Origin, SSBD: true}, false, false, false},
 		// The new Defense backends must keep the property: the fence
 		// watermark is a scalar, parked delay-on-miss loads reuse a
 		// preallocated slice, and invisible loads change no bookkeeping.
-		{"fence", SecurityConfig{Mechanism: core.Fence}, false, false},
-		{"delay-on-miss", SecurityConfig{Mechanism: core.DelayOnMiss, Scope: core.ScopeBranchMem}, false, false},
-		{"invisispec", SecurityConfig{Mechanism: core.InvisiSpec}, false, false},
+		{"fence", SecurityConfig{Mechanism: core.Fence}, false, false, false},
+		{"delay-on-miss", SecurityConfig{Mechanism: core.DelayOnMiss, Scope: core.ScopeBranchMem}, false, false, false},
+		{"invisispec", SecurityConfig{Mechanism: core.InvisiSpec}, false, false, false},
 		// The obs contract: an attached registry with interval sampling
 		// costs array writes only — still zero allocations per cycle.
-		{"origin-metrics", SecurityConfig{Mechanism: core.Origin}, true, false},
-		{"cachehit-tpbuf-metrics", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, true, false},
+		{"origin-metrics", SecurityConfig{Mechanism: core.Origin}, true, false, false},
+		{"cachehit-tpbuf-metrics", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, true, false, false},
 		// The flight recorder's contract: an armed recorder is ring stores
 		// only — still zero allocations per cycle, even alongside metrics.
-		{"origin-flight", SecurityConfig{Mechanism: core.Origin}, false, true},
-		{"cachehit-tpbuf-flight", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, true, true},
+		{"origin-flight", SecurityConfig{Mechanism: core.Origin}, false, true, false},
+		{"cachehit-tpbuf-flight", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, true, true, false},
+		// Event delivery itself: with a sink attached every event is one
+		// by-value interface call — no disassembly, no boxing.
+		{"cachehit-tpbuf-sink", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, false, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := allocKernel()
@@ -72,6 +84,10 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			cpu := NewWithMemory(smallCore(), tc.sec, backing)
 			if tc.flight {
 				cpu.ArmFlightRecorder(0, 0)
+			}
+			sink := &countingSink{}
+			if tc.sink {
+				cpu.AttachSink(sink)
 			}
 			if tc.metrics {
 				m := NewMetrics()
@@ -103,6 +119,9 @@ func TestZeroAllocSteadyState(t *testing.T) {
 				if d := cpu.DumpFlight(); d == nil || len(d.Events) == 0 {
 					t.Fatal("flight recorder armed but recorded nothing")
 				}
+			}
+			if tc.sink && sink.events == 0 {
+				t.Fatal("sink attached but fed no events")
 			}
 			if tc.metrics {
 				s := cpu.m.Series()

@@ -152,7 +152,7 @@ func (c *CPU) eligible(u *uop) bool {
 			// The suspect window just closed: this instruction waited from
 			// dispatch until every security dependence resolved.
 			c.m.suspectWindow.Observe(c.cycle - u.dispatchCycle)
-			c.fr.Record(c.cycle, obs.FlightSuspectClose, u.seq, u.pc, c.cycle-u.dispatchCycle, false)
+			c.emit(obs.FlightSuspectClose, u.seq, u.pc, c.cycle-u.dispatchCycle, false)
 		}
 		if c.def.BlockAtIssue && c.secmat.Peek(u.iqIdx) {
 			// Baseline: suspect memory instructions do not issue at all.
@@ -160,7 +160,7 @@ func (c *CPU) eligible(u *uop) bool {
 				u.blockedSec = true
 				u.wasBlocked = true
 				c.stats.Filter.BlockedEvents++
-				c.fr.Record(c.cycle, obs.FlightSuspectOpen, u.seq, u.pc, 0, true)
+				c.emit(obs.FlightSuspectOpen, u.seq, u.pc, 0, true)
 			}
 			return false
 		}
@@ -243,7 +243,7 @@ func (c *CPU) acceptIssue(u *uop, lat int, extra int) {
 	if c.secmat != nil && u.iqIdx >= 0 {
 		c.secmat.OnIssue(u.iqIdx)
 		maskClear(c.prodMask, u.iqIdx)
-		c.fr.Record(c.cycle, obs.FlightSecRowClear, u.seq, u.pc, uint64(u.iqIdx), false)
+		c.emit(obs.FlightSecRowClear, u.seq, u.pc, uint64(u.iqIdx), false)
 	}
 	if u.iqIdx >= 0 {
 		c.readyRemove(u)
@@ -257,8 +257,7 @@ func (c *CPU) acceptIssue(u *uop, lat int, extra int) {
 		c.m.reissueLatency.Observe(c.cycle - u.discardedAt)
 		u.discardedAt = 0
 	}
-	c.traceEvent(obs.EvIssue, u)
-	c.fr.Record(c.cycle, obs.FlightIssue, u.seq, u.pc, 0, u.suspect)
+	c.emit(obs.FlightIssue, u.seq, u.pc, 0, u.suspect)
 	c.inflight = append(c.inflight, pendingExec{u: u, done: c.cycle + uint64(lat+extra)})
 }
 
@@ -374,7 +373,7 @@ func (c *CPU) issueLoad(u *uop, base uint64) *uop {
 			u.wasBlocked = true
 			u.discardedAt = c.cycle
 			c.stats.Filter.BlockedEvents++
-			c.fr.Record(c.cycle, obs.FlightSuspectOpen, u.seq, u.pc, 0, true)
+			c.emit(obs.FlightSuspectOpen, u.seq, u.pc, 0, true)
 			return nil
 		}
 		res, hit := c.hier.AccessL1DHitOnly(u.memAddr, true)
@@ -404,13 +403,13 @@ func (c *CPU) issueLoad(u *uop, base uint64) *uop {
 		// issue queue for its security dependences to clear (§V.C).
 		if c.def.TPBufFilter {
 			u.tpbufUnsafe = true
-			c.fr.Record(c.cycle, obs.FlightTPBufHit, u.seq, u.pc, uint64(tp), true)
+			c.emit(obs.FlightTPBufHit, u.seq, u.pc, uint64(tp), true)
 		}
 		u.blockedSec = true
 		u.wasBlocked = true
 		u.discardedAt = c.cycle
 		c.stats.Filter.BlockedEvents++
-		c.fr.Record(c.cycle, obs.FlightSuspectOpen, u.seq, u.pc, 0, true)
+		c.emit(obs.FlightSuspectOpen, u.seq, u.pc, 0, true)
 		if c.def.DelayOnMiss {
 			// Delay-on-miss: park in place instead of re-entering selection.
 			// The load leaves the ready list and resumeParked retries it once
@@ -460,7 +459,7 @@ func (c *CPU) resumeParked() {
 			// eligible): this load waited from dispatch until every security
 			// dependence resolved.
 			c.m.suspectWindow.Observe(c.cycle - u.dispatchCycle)
-			c.fr.Record(c.cycle, obs.FlightSuspectClose, u.seq, u.pc, c.cycle-u.dispatchCycle, false)
+			c.emit(obs.FlightSuspectClose, u.seq, u.pc, c.cycle-u.dispatchCycle, false)
 		}
 		// memAddr was computed before parking; recover the AGU input so the
 		// issue path recomputes it identically.
@@ -600,8 +599,7 @@ func (c *CPU) writebackStage() {
 			c.outstandingMisses--
 		}
 		u.completed = true
-		c.traceEvent(obs.EvWriteback, u)
-		c.fr.Record(c.cycle, obs.FlightWriteback, u.seq, u.pc, 0, u.suspect)
+		c.emit(obs.FlightWriteback, u.seq, u.pc, 0, u.suspect)
 		if u.inst.Op.IsLoad() && u.ldqIdx >= 0 {
 			c.tpbuf.SetWriteback(u.ldqIdx)
 		}
@@ -650,8 +648,7 @@ func (c *CPU) resolveBranch(u *uop) {
 // fetch to redirectPC. cp, when non-nil, restores predictor state (branch
 // mispredictions; memory-order violations skip it).
 func (c *CPU) squashFrom(fromSeq uint64, redirectPC uint64, cp *branch.Checkpoint) {
-	c.traceSquash(fromSeq, redirectPC)
-	c.fr.Record(c.cycle, obs.FlightSquash, fromSeq, 0, redirectPC, false)
+	c.emit(obs.FlightSquash, fromSeq, 0, redirectPC, false)
 	c.stats.Squashes++
 	robBefore := c.robCount
 	for c.robCount > 0 {
@@ -671,7 +668,7 @@ func (c *CPU) squashFrom(fromSeq uint64, redirectPC uint64, cp *branch.Checkpoin
 			if c.secmat != nil {
 				c.secmat.OnSquash(u.iqIdx)
 				maskClear(c.prodMask, u.iqIdx)
-				c.fr.Record(c.cycle, obs.FlightSecRowClear, u.seq, u.pc, uint64(u.iqIdx), false)
+				c.emit(obs.FlightSecRowClear, u.seq, u.pc, uint64(u.iqIdx), false)
 			}
 			c.readyRemove(u)
 			c.iq[u.iqIdx] = nil
@@ -842,8 +839,7 @@ func (c *CPU) commitStage() {
 			maskSet(c.stqFree, u.stqIdx)
 			c.tpbuf.Free(c.cfg.LDQ + u.stqIdx)
 		}
-		c.traceEvent(obs.EvCommit, u)
-		c.fr.Record(c.cycle, obs.FlightCommit, u.seq, u.pc, 0, false)
+		c.emit(obs.FlightCommit, u.seq, u.pc, 0, false)
 		c.rob[c.robHead] = nil
 		c.robHead = (c.robHead + 1) % len(c.rob)
 		c.robCount--

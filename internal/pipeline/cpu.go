@@ -339,15 +339,12 @@ type CPU struct {
 	runOutcome     RunOutcome
 	faultHook      func(*CPU)
 
-	// sinks, when non-empty, receive one obs.TraceEvent per pipeline event
-	// (see trace.go).
+	// sinks, when non-empty, receive one obs.FlightEvent per pipeline event
+	// (see trace.go). fr is the armed flight recorder, also one of the
+	// sinks; the CPU keeps it to dump into Result.Flight on failure paths
+	// (see flight.go). Nil when disarmed.
 	sinks []obs.EventSink
-
-	// fr, when armed, records compact microarchitectural events into a
-	// fixed ring at zero allocations per cycle; failure paths dump it into
-	// Result.Flight (see flight.go). Nil when disarmed — every record site
-	// is a nil-receiver no-op.
-	fr *obs.FlightRecorder
+	fr    *obs.FlightRecorder
 
 	// m is the attached metric set, held by value so detached metrics are
 	// nil pointers and each record site is a nil-receiver no-op (see

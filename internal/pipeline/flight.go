@@ -1,31 +1,36 @@
 package pipeline
 
-import "conspec/internal/obs"
+import (
+	"slices"
 
-// Flight-recorder attachment. The recorder is an observer, not machine
-// state: arming it changes no simulated behavior, so it deliberately does
-// NOT participate in the stall skipper's activity signature (skip.go). A
-// cycle the skipper proves inert fires no pipeline events by definition,
-// and skipped spans are recorded explicitly by fastForward, so the ring's
-// contents are equivalent whether or not spans were skipped — modulo the
-// skip-span events themselves, which, like the SkippedCycles meta-counters,
-// describe the simulator rather than the machine.
+	"conspec/internal/obs"
+)
+
+// Flight-recorder attachment. The recorder is an event sink and an
+// observer, not machine state: arming it changes no simulated behavior, so
+// it deliberately does NOT participate in the stall skipper's activity
+// signature (skip.go). A cycle the skipper proves inert fires no pipeline
+// events by definition, and skipped spans are emitted explicitly by
+// fastForward, so the ring's contents are equivalent whether or not spans
+// were skipped — modulo the skip-span events themselves, which, like the
+// SkippedCycles meta-counters, describe the simulator rather than the
+// machine.
 
 // ArmFlightRecorder attaches a flight recorder covering the last window
 // cycles with an event ring of the given capacity (zero values select the
 // obs defaults). Recording costs zero allocations per cycle; the ring is
-// the only allocation and happens here. Re-arming replaces the ring.
+// the only allocation and happens here. Re-arming replaces the ring. The
+// CPU keeps a pointer to the recorder so the failure paths can dump it.
 func (c *CPU) ArmFlightRecorder(window uint64, capacity int) *obs.FlightRecorder {
-	c.fr = obs.NewFlightRecorder(window, capacity)
-	return c.fr
+	fr := obs.NewFlightRecorder(window, capacity)
+	if i := slices.Index(c.sinks, obs.EventSink(c.fr)); i >= 0 {
+		c.sinks[i] = fr
+	} else {
+		c.AttachSink(fr)
+	}
+	c.fr = fr
+	return fr
 }
-
-// DisarmFlightRecorder detaches the recorder; every record site reverts to
-// a nil-receiver no-op.
-func (c *CPU) DisarmFlightRecorder() { c.fr = nil }
-
-// FlightRecorder returns the armed recorder (nil when disarmed).
-func (c *CPU) FlightRecorder() *obs.FlightRecorder { return c.fr }
 
 // DumpFlight renders the armed recorder's ring as of the current cycle —
 // the explicit hook for convictions the machine cannot see itself, like an

@@ -211,8 +211,27 @@ func TestFlightRecorderHealthyRunNoDump(t *testing.T) {
 	if kinds := checkFlightDump(t, d, obs.DefaultFlightWindow); kinds[obs.FlightCommit] == 0 {
 		t.Error("explicit dump has no commit events")
 	}
-	cpu.DisarmFlightRecorder()
-	if cpu.DumpFlight() != nil || cpu.FlightRecorder() != nil {
-		t.Fatal("disarmed recorder must dump nothing")
+}
+
+// TestArmFlightRecorderTwiceReplacesRing: re-arming swaps the ring on the
+// sink slice in place, so the CPU dumps the new ring and the old one stops
+// receiving events.
+func TestArmFlightRecorderTwiceReplacesRing(t *testing.T) {
+	prog := deadlockProgram()
+	backing := isa.NewFlatMem()
+	prog.Load(backing)
+	cpu := NewWithMemory(smallCore(), SecurityConfig{Mechanism: core.Baseline}, backing)
+	first := cpu.ArmFlightRecorder(0, 0)
+	second := cpu.ArmFlightRecorder(64, 0)
+	if len(cpu.sinks) != 1 {
+		t.Fatalf("%d sinks after re-arming, want 1", len(cpu.sinks))
+	}
+	cpu.SetPC(prog.Base)
+	cpu.Run(1_000_000)
+	if first.Dump(cpu.Cycle()) != nil {
+		t.Fatal("replaced ring still received events")
+	}
+	if d := cpu.DumpFlight(); d == nil || d.Window != second.Window() {
+		t.Fatalf("DumpFlight = %+v, want a dump of the re-armed ring", d)
 	}
 }

@@ -108,8 +108,7 @@ func (c *CPU) fetchStage() {
 			}
 		}
 
-		c.traceEvent(obs.EvFetch, u)
-		c.fr.Record(c.cycle, obs.FlightFetch, u.seq, u.pc, 0, false)
+		c.emit(obs.FlightFetch, u.seq, u.pc, 0, false)
 		c.fqPush(u)
 		c.fetchPC = next
 		if endGroup {
@@ -183,8 +182,7 @@ func (c *CPU) dispatchStage() {
 			c.stats.UnresolvedBranchAtDispatch++
 		}
 
-		c.traceEvent(obs.EvDispatch, u)
-		c.fr.Record(c.cycle, obs.FlightDispatch, u.seq, u.pc, 0, false)
+		c.emit(obs.FlightDispatch, u.seq, u.pc, 0, false)
 		c.robPush(u)
 		u.dispatched = true
 		u.dispatchCycle = c.cycle
@@ -216,7 +214,7 @@ func (c *CPU) dispatchStage() {
 				// every occupied, unissued producer-class slot except iqSlot
 				// (the new occupant's bit is only set below).
 				c.secmat.OnDispatchMask(iqSlot, u.class(), c.prodMask)
-				c.fr.Record(c.cycle, obs.FlightSecRowSet, u.seq, u.pc, uint64(iqSlot), false)
+				c.emit(obs.FlightSecRowSet, u.seq, u.pc, uint64(iqSlot), false)
 				if c.secmat.IsProducer(u.class()) {
 					maskSet(c.prodMask, iqSlot)
 				}
@@ -228,14 +226,14 @@ func (c *CPU) dispatchStage() {
 			u.ldqIdx = ldqSlot
 			maskClear(c.ldqFree, ldqSlot)
 			c.tpbuf.Allocate(ldqSlot)
-			c.fr.Record(c.cycle, obs.FlightTPBufAlloc, u.seq, u.pc, uint64(ldqSlot), false)
+			c.emit(obs.FlightTPBufAlloc, u.seq, u.pc, uint64(ldqSlot), false)
 		}
 		if stqSlot >= 0 {
 			c.stq[stqSlot] = u
 			u.stqIdx = stqSlot
 			maskClear(c.stqFree, stqSlot)
 			c.tpbuf.Allocate(c.cfg.LDQ + stqSlot)
-			c.fr.Record(c.cycle, obs.FlightTPBufAlloc, u.seq, u.pc, uint64(c.cfg.LDQ+stqSlot), false)
+			c.emit(obs.FlightTPBufAlloc, u.seq, u.pc, uint64(c.cfg.LDQ+stqSlot), false)
 			c.noteStoreDispatched(u)
 		}
 	}

@@ -200,7 +200,7 @@ func (c *CPU) fastForward(capCycle uint64) {
 	// Stamped at the span's END so a dump window that opens mid-span still
 	// retains the event explaining its silence (no events can occur inside
 	// a skipped span by construction).
-	c.fr.Record(c.cycle, obs.FlightSkipSpan, 0, 0, span, false)
+	c.emit(obs.FlightSkipSpan, 0, 0, span, false)
 }
 
 // creditStall advances the cycle counter by span, crediting the counters a

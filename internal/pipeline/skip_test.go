@@ -106,7 +106,7 @@ func skipRun(t *testing.T, w *workload.Workload, sec SecurityConfig, skip bool) 
 
 	var trace, pview bytes.Buffer
 	cpu.AttachTracer(&trace)
-	cpu.AttachSink(obs.NewPipeViewSink(&pview))
+	cpu.AttachSink(obs.NewPipeViewSink(&pview, cpu.Disasm))
 	m := NewMetrics()
 	m.EnableSampling(512, 4096)
 	cpu.AttachMetrics(m)
