@@ -252,6 +252,26 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkSimSetup measures per-simulation set-up on its own: for each of
+// the 22 profiles, generate the kernel, load it into a fresh backing memory
+// and build the machine — everything exp.RunWorkload does before the first
+// cycle. Run with -benchmem: the bytes per op are the set-up's allocation.
+func BenchmarkSimSetup(b *testing.B) {
+	profiles := workload.Profiles()
+	sec := pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf}
+	for i := 0; i < b.N; i++ {
+		for _, p := range profiles {
+			w, err := workload.Generate(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			backing := isa.NewFlatMem()
+			w.Load(backing)
+			pipeline.NewWithMemory(config.PaperCore(), sec, backing).SetPC(w.Entry)
+		}
+	}
+}
+
 // --- ablation benchmarks ------------------------------------------------------
 // Design-choice studies DESIGN.md calls out: each reports its headline
 // deltas as custom metrics.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"conspec/internal/core"
 	"conspec/internal/pipeline"
@@ -36,63 +35,47 @@ func (r *Runner) Compare(ctx context.Context, spec RunSpec, names []string) (*Co
 	if err != nil {
 		return nil, err
 	}
-	out := &CompareResult{}
-	var mu sync.Mutex
-	rows := make(map[string]CompareRow)
-	n := float64(len(profiles))
-	err = r.eachProfile(ctx, profiles, func(p workload.Profile) error {
-		name := p.Name
-		s := spec
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.Origin}
-		origin, err := r.run(ctx, SuiteCompare, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
-		}
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf}
-		tpRes, err := r.run(ctx, SuiteCompare, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
-		}
-		tp := Overhead(origin, tpRes)
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.InvisiSpec}
-		invRes, err := r.run(ctx, SuiteCompare, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
-		}
-		inv := Overhead(origin, invRes)
-
+	runs, err := r.profileRuns(ctx, SuiteCompare, profiles, func(p workload.Profile) []runReq {
 		// Software mitigation: the same kernel recompiled with a fence
 		// after every conditional branch, run on the UNPROTECTED core.
 		pf := p
 		pf.FenceAfterBranches = true
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.Origin}
-		swRes, err := r.run(ctx, SuiteCompare, pf, s)
-		if err != nil {
-			return suiteErr(ctx, err)
+		origin := withSec(spec, pipeline.SecurityConfig{Mechanism: core.Origin})
+		return []runReq{
+			{p, origin},
+			{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf})},
+			{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.InvisiSpec})},
+			{pf, origin},
 		}
-		sw := Overhead(origin, swRes)
-
-		mu.Lock()
-		rows[name] = CompareRow{Benchmark: name, TPBuf: tp, Invisi: inv, SWFence: sw}
-		out.Avg.TPBuf += tp / n
-		out.Avg.Invisi += inv / n
-		out.Avg.SWFence += sw / n
-		mu.Unlock()
-		r.emit(ProgressEvent{Suite: SuiteCompare, Benchmark: name, Phase: PhaseBenchDone,
-			Line: fmt.Sprintf("%-12s tpbuf %+6.1f%%  invisispec %+6.1f%%  sw-fence %+6.1f%%",
-				name, 100*tp, 100*inv, 100*sw)})
-		return nil
+	}, func(p workload.Profile, res []pipeline.Result) string {
+		row := compareRow(p.Name, res)
+		return fmt.Sprintf("%-12s tpbuf %+6.1f%%  invisispec %+6.1f%%  sw-fence %+6.1f%%",
+			p.Name, 100*row.TPBuf, 100*row.Invisi, 100*row.SWFence)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range profiles {
-		if row, ok := rows[p.Name]; ok {
-			out.Rows = append(out.Rows, row)
+	out := &CompareResult{}
+	n := float64(len(profiles))
+	for i, res := range runs {
+		if res == nil {
+			continue
 		}
+		row := compareRow(profiles[i].Name, res)
+		out.Rows = append(out.Rows, row)
+		out.Avg.TPBuf += row.TPBuf / n
+		out.Avg.Invisi += row.Invisi / n
+		out.Avg.SWFence += row.SWFence / n
 	}
 	out.Avg.Benchmark = "Average"
 	return out, nil
+}
+
+// compareRow computes one benchmark's overheads from its Compare runs:
+// origin, CH+TPBuf, InvisiSpec and the fence-recompiled kernel on origin.
+func compareRow(name string, res []pipeline.Result) CompareRow {
+	return CompareRow{Benchmark: name, TPBuf: Overhead(res[0], res[1]),
+		Invisi: Overhead(res[0], res[2]), SWFence: Overhead(res[0], res[3])}
 }
 
 // CompareText renders the comparison table.

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"conspec/internal/core"
 	"conspec/internal/pipeline"
+	"conspec/internal/workload"
 )
 
 // BenchResult holds one benchmark's runs under every mechanism.
@@ -32,8 +32,8 @@ type Evaluation struct {
 
 // Evaluation measures the named benchmarks (all 22 when names is nil)
 // under all four mechanisms through the engine's memo cache. Runs execute
-// in parallel on the worker pool; each completed run emits a bench-done
-// event carrying the legacy progress line.
+// in parallel on the worker pool; once a benchmark's runs complete, each
+// emits a bench-done event carrying the legacy progress line.
 func (r *Runner) Evaluation(ctx context.Context, spec RunSpec, names []string) (*Evaluation, error) {
 	return r.evaluation(ctx, SuiteFig5, spec, names)
 }
@@ -46,63 +46,37 @@ func (r *Runner) evaluation(ctx context.Context, suite SuiteID, spec RunSpec, na
 		return nil, err
 	}
 	ev := &Evaluation{Spec: spec, Benches: make([]BenchResult, len(profiles))}
-	type job struct {
-		bench int
-		mech  core.Mechanism
-	}
-	var jobs []job
 	for i, p := range profiles {
 		ev.Benches[i] = BenchResult{
 			Name:           p.Name,
 			PaperL1HitRate: p.PaperL1HitRate,
 			Results:        make(map[core.Mechanism]pipeline.Result),
 		}
-		for _, m := range core.Mechanisms {
-			jobs = append(jobs, job{bench: i, mech: m})
-		}
 	}
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				return
-			}
-			p := profiles[j.bench]
+	err = r.eachProfile(ctx, profiles, func(i int, p workload.Profile) error {
+		reqs := make([]runReq, len(core.Mechanisms))
+		for k, m := range core.Mechanisms {
 			s := spec
-			s.Sec.Mechanism = j.mech
-			res, err := r.run(ctx, suite, p, s)
-			if err != nil {
-				// A failed run is recorded for Errors(); the benchmark's
-				// result map simply lacks this mechanism. Only engine-wide
-				// cancellation aborts the whole evaluation.
-				if suiteErr(ctx, err) != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-				return
+			s.Sec.Mechanism = m
+			reqs[k] = runReq{p, s}
+		}
+		res, errs := r.runAll(ctx, suite, reqs)
+		for k, m := range core.Mechanisms {
+			// A failed run is recorded for Errors(); the benchmark's
+			// result map simply lacks this mechanism. Only engine-wide
+			// cancellation aborts the whole evaluation.
+			if errs[k] != nil {
+				continue
 			}
-			mu.Lock()
-			ev.Benches[j.bench].Results[j.mech] = res
-			mu.Unlock()
+			ev.Benches[i].Results[m] = res[k]
 			r.emit(ProgressEvent{Suite: suite, Benchmark: p.Name,
-				Mechanism: j.mech.String(), Phase: PhaseBenchDone, Cycles: res.Cycles,
+				Mechanism: m.String(), Phase: PhaseBenchDone, Cycles: res[k].Cycles,
 				Line: fmt.Sprintf("%-12s %-34s %8d cycles (IPC %.2f)",
-					p.Name, j.mech, res.Cycles, res.IPC())})
-		}(j)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return ev, err
-	}
-	return ev, firstErr
+					p.Name, m, res[k].Cycles, res[k].IPC())})
+		}
+		return nil
+	})
+	return ev, err
 }
 
 // AverageOverhead returns the arithmetic-mean overhead of m across benches.

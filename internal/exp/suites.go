@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"conspec/internal/attack"
 	"conspec/internal/config"
@@ -115,40 +114,31 @@ func (r *Runner) Scope(ctx context.Context, spec RunSpec, names []string) (*Scop
 		PerBench:             make(map[string][2]float64),
 		UnresolvedBranchFrac: make(map[string]float64),
 	}
-	var mu sync.Mutex
+	runs, err := r.profileRuns(ctx, SuiteScope, profiles, func(p workload.Profile) []runReq {
+		return []runReq{
+			{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.Origin})},
+			{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.Baseline, Scope: core.ScopeBranchOnly})},
+			{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.Baseline, Scope: core.ScopeBranchMem})},
+		}
+	}, func(p workload.Profile, res []pipeline.Result) string {
+		return fmt.Sprintf("%-12s branch-only %+6.1f%%  full %+6.1f%%",
+			p.Name, 100*Overhead(res[0], res[1]), 100*Overhead(res[0], res[2]))
+	})
 	n := float64(len(profiles))
-	err = r.eachProfile(ctx, profiles, func(p workload.Profile) error {
-		s := spec
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.Origin}
-		origin, err := r.run(ctx, SuiteScope, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
+	for i, res := range runs {
+		if res == nil {
+			continue
 		}
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.Baseline, Scope: core.ScopeBranchOnly}
-		bo, err := r.run(ctx, SuiteScope, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
-		}
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.Baseline, Scope: core.ScopeBranchMem}
-		full, err := r.run(ctx, SuiteScope, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
-		}
-		ovBO, ovFull := Overhead(origin, bo), Overhead(origin, full)
-		mu.Lock()
-		out.PerBench[p.Name] = [2]float64{ovBO, ovFull}
+		name, origin, full := profiles[i].Name, res[0], res[2]
+		ovBO, ovFull := Overhead(origin, res[1]), Overhead(origin, full)
+		out.PerBench[name] = [2]float64{ovBO, ovFull}
 		out.BranchOnlyAvg += ovBO / n
 		out.FullAvg += ovFull / n
 		if full.Committed > 0 {
-			out.UnresolvedBranchFrac[p.Name] =
+			out.UnresolvedBranchFrac[name] =
 				float64(full.UnresolvedBranchAtDispatch) / float64(full.Committed)
 		}
-		mu.Unlock()
-		r.emit(ProgressEvent{Suite: SuiteScope, Benchmark: p.Name, Phase: PhaseBenchDone,
-			Line: fmt.Sprintf("%-12s branch-only %+6.1f%%  full %+6.1f%%",
-				p.Name, 100*ovBO, 100*ovFull)})
-		return nil
-	})
+	}
 	return out, err
 }
 
@@ -191,35 +181,25 @@ func (r *Runner) LRU(ctx context.Context, spec RunSpec, names []string) (*LRURes
 	if err != nil {
 		return nil, err
 	}
-	var out LRUResult
-	var mu sync.Mutex
-	n := float64(len(profiles))
-	err = r.eachProfile(ctx, profiles, func(p workload.Profile) error {
-		s := spec
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.Origin}
-		origin, err := r.run(ctx, SuiteLRU, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
-		}
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf}
-		var deltas [3]float64
-		for i, pol := range []mem.UpdatePolicy{mem.UpdateAlways, mem.UpdateNoSpec, mem.UpdateDelayed} {
+	runs, err := r.profileRuns(ctx, SuiteLRU, profiles, func(p workload.Profile) []runReq {
+		reqs := []runReq{{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.Origin})}}
+		for _, pol := range []mem.UpdatePolicy{mem.UpdateAlways, mem.UpdateNoSpec, mem.UpdateDelayed} {
+			s := withSec(spec, pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf})
 			s.L1DUpdate = pol
-			res, err := r.run(ctx, SuiteLRU, p, s)
-			if err != nil {
-				return suiteErr(ctx, err)
-			}
-			deltas[i] = Overhead(origin, res)
+			reqs = append(reqs, runReq{p, s})
 		}
-		mu.Lock()
-		out.Always += deltas[0] / n
-		out.NoUpdate += deltas[1] / n
-		out.Delayed += deltas[2] / n
-		mu.Unlock()
-		r.emit(ProgressEvent{Suite: SuiteLRU, Benchmark: p.Name, Phase: PhaseBenchDone,
-			Line: "lru: " + p.Name})
-		return nil
-	})
+		return reqs
+	}, func(p workload.Profile, _ []pipeline.Result) string { return "lru: " + p.Name })
+	var out LRUResult
+	n := float64(len(profiles))
+	for _, res := range runs {
+		if res == nil {
+			continue
+		}
+		out.Always += Overhead(res[0], res[1]) / n
+		out.NoUpdate += Overhead(res[0], res[2]) / n
+		out.Delayed += Overhead(res[0], res[3]) / n
+	}
 	return &out, err
 }
 
@@ -253,36 +233,23 @@ func (r *Runner) ICache(ctx context.Context, spec RunSpec, names []string) (*ICa
 		return nil, err
 	}
 	profiles = append(profiles, workload.ICacheStress())
+	runs, err := r.profileRuns(ctx, SuiteICache, profiles, func(p workload.Profile) []runReq {
+		return []runReq{
+			{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.Origin})},
+			{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf})},
+			{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf, ICacheFilter: true})},
+		}
+	}, func(p workload.Profile, _ []pipeline.Result) string { return "icache: " + p.Name })
 	out := &ICacheResult{Stalls: make(map[string]uint64)}
-	var mu sync.Mutex
 	n := float64(len(profiles))
-	err = r.eachProfile(ctx, profiles, func(p workload.Profile) error {
-		s := spec
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.Origin}
-		origin, err := r.run(ctx, SuiteICache, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
+	for i, res := range runs {
+		if res == nil {
+			continue
 		}
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf}
-		base, err := r.run(ctx, SuiteICache, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
-		}
-		without := Overhead(origin, base)
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf, ICacheFilter: true}
-		res, err := r.run(ctx, SuiteICache, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
-		}
-		mu.Lock()
-		out.Without += without / n
-		out.With += Overhead(origin, res) / n
-		out.Stalls[p.Name] = res.FetchStallsICacheFilter
-		mu.Unlock()
-		r.emit(ProgressEvent{Suite: SuiteICache, Benchmark: p.Name, Phase: PhaseBenchDone,
-			Line: "icache: " + p.Name})
-		return nil
-	})
+		out.Without += Overhead(res[0], res[1]) / n
+		out.With += Overhead(res[0], res[2]) / n
+		out.Stalls[profiles[i].Name] = res[2].FetchStallsICacheFilter
+	}
 	return out, err
 }
 
@@ -369,36 +336,23 @@ func (r *Runner) DTLB(ctx context.Context, spec RunSpec, names []string) (*DTLBR
 	if err != nil {
 		return nil, err
 	}
+	runs, err := r.profileRuns(ctx, SuiteDTLB, profiles, func(p workload.Profile) []runReq {
+		return []runReq{
+			{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.Origin})},
+			{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf})},
+			{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf, DTLBFilter: true})},
+		}
+	}, func(p workload.Profile, _ []pipeline.Result) string { return "dtlb: " + p.Name })
 	out := &DTLBResult{Blocks: make(map[string]uint64)}
-	var mu sync.Mutex
 	n := float64(len(profiles))
-	err = r.eachProfile(ctx, profiles, func(p workload.Profile) error {
-		s := spec
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.Origin}
-		origin, err := r.run(ctx, SuiteDTLB, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
+	for i, res := range runs {
+		if res == nil {
+			continue
 		}
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf}
-		base, err := r.run(ctx, SuiteDTLB, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
-		}
-		without := Overhead(origin, base)
-		s.Sec = pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf, DTLBFilter: true}
-		res, err := r.run(ctx, SuiteDTLB, p, s)
-		if err != nil {
-			return suiteErr(ctx, err)
-		}
-		mu.Lock()
-		out.Without += without / n
-		out.With += Overhead(origin, res) / n
-		out.Blocks[p.Name] = res.DTLBFilterBlocks
-		mu.Unlock()
-		r.emit(ProgressEvent{Suite: SuiteDTLB, Benchmark: p.Name, Phase: PhaseBenchDone,
-			Line: "dtlb: " + p.Name})
-		return nil
-	})
+		out.Without += Overhead(res[0], res[1]) / n
+		out.With += Overhead(res[0], res[2]) / n
+		out.Blocks[profiles[i].Name] = res[2].DTLBFilterBlocks
+	}
 	return out, err
 }
 

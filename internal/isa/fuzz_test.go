@@ -35,3 +35,14 @@ func FuzzInterpStep(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFlatMemSeed is the differential check behind FlatMem.Seed: a memory
+// whose initial words were seeded must be indistinguishable, through every
+// accessor, from one where they were written eagerly. data is decoded by
+// runSeedOps.
+func FuzzFlatMemSeed(f *testing.F) {
+	f.Add([]byte{0, 8, 0x10, 2, 8, 0x0c, 1, 0xf9, 0x0f, 3, 7, 0x0f})
+	f.Add([]byte{0, 0xf8, 0x1f, 0, 0, 0x20, 2, 0xfc, 0x1f, 1, 0xfe, 0x1f, 4, 0xf0, 0x1f})
+	f.Add([]byte{5, 0xfd, 0x0f, 0, 0, 0x10, 4, 0xf8, 0x0f})
+	f.Fuzz(func(t *testing.T, data []byte) { runSeedOps(t, data) })
+}

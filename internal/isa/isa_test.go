@@ -192,6 +192,170 @@ func TestFlatMemBytes(t *testing.T) {
 	}
 }
 
+// seedSpan is the address window runSeedOps works in: three pages, so
+// accesses straddle two page boundaries.
+const (
+	seedBase = 0x7000
+	seedSpan = 3 * PageSize
+)
+
+// runSeedOps decodes data into a sequence of operations, each one opcode
+// byte and two address bytes (value and size bytes follow where needed),
+// and applies it to two memories: one that seeds words with Seed and one
+// that writes them eagerly with Write. Every read must agree, and the
+// seeded memory may never hold more resident pages than the eager one.
+func runSeedOps(t *testing.T, data []byte) {
+	t.Helper()
+	seeded, eager := NewFlatMem(), NewFlatMem()
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	val := func() uint64 {
+		v := uint64(next())
+		return v*0x0101_0101_0101_0101 ^ uint64(len(data))<<40
+	}
+	for step := 0; len(data) > 0; step++ {
+		op := next() % 6
+		addr := seedBase + (uint64(next())|uint64(next())<<8)%seedSpan
+		size := int(next()%8) + 1
+		switch op {
+		case 0: // seed an aligned word
+			addr &^= 7
+			v := val()
+			seeded.Seed(addr, v)
+			eager.Write(addr, 8, v)
+		case 1:
+			v := val()
+			seeded.Write(addr, size, v)
+			eager.Write(addr, size, v)
+		case 2:
+			if s, e := seeded.Read(addr, size), eager.Read(addr, size); s != e {
+				t.Fatalf("step %d: Read(%#x, %d) = %#x, eager %#x", step, addr, size, s, e)
+			}
+		case 3:
+			if s, e := seeded.ByteAt(addr), eager.ByteAt(addr); s != e {
+				t.Fatalf("step %d: ByteAt(%#x) = %#x, eager %#x", step, addr, s, e)
+			}
+		case 4:
+			if s, e := seeded.BytesAt(addr, 3*size), eager.BytesAt(addr, 3*size); string(s) != string(e) {
+				t.Fatalf("step %d: BytesAt(%#x, %d) = %x, eager %x", step, addr, 3*size, s, e)
+			}
+		case 5:
+			b := []byte{next(), next(), next()}
+			seeded.SetBytes(addr, b)
+			eager.SetBytes(addr, b)
+		}
+		if seeded.Pages() > eager.Pages() {
+			t.Fatalf("step %d: %d resident pages, eager %d", step, seeded.Pages(), eager.Pages())
+		}
+	}
+	if s, e := seeded.BytesAt(seedBase-8, seedSpan+16), eager.BytesAt(seedBase-8, seedSpan+16); string(s) != string(e) {
+		t.Fatal("final contents differ")
+	}
+}
+
+// TestFlatMemSeedDifferential runs the FuzzFlatMemSeed check over a fixed
+// set of random operation sequences, so every test run covers it.
+func TestFlatMemSeedDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		data := make([]byte, 20+rng.Intn(400))
+		rng.Read(data)
+		runSeedOps(t, data)
+	}
+}
+
+func TestFlatMemSeedIsLazy(t *testing.T) {
+	m := NewFlatMem()
+	m.Seed(0x2000, 0x1122334455667788)
+	m.Seed(0x2ff8, 0xAABBCCDDEEFF0011)
+	m.Seed(0x2000, 0x0102030405060708) // reseeding replaces the word
+	if m.Pages() != 0 {
+		t.Fatalf("seeding made %d pages resident", m.Pages())
+	}
+	if got := m.Read(0x2000, 8); got != 0x0102030405060708 {
+		t.Fatalf("seeded read = %#x", got)
+	}
+	if got := m.Read(0x2ffc, 8); got != 0xAABBCCDD {
+		t.Fatalf("straddling read = %#x, want the seeded high half and zero", got)
+	}
+	m.Write(0x2004, 1, 0xEE) // first write: the page's seeds are copied in
+	if m.Pages() != 1 {
+		t.Fatalf("%d resident pages after the first write, want 1", m.Pages())
+	}
+	if got := m.Read(0x2000, 8); got != 0x010203EE05060708 {
+		t.Fatalf("read after partial write = %#x", got)
+	}
+	if got := m.Read(0x2ff8, 8); got != 0xAABBCCDDEEFF0011 {
+		t.Fatalf("second seeded word lost on residency: %#x", got)
+	}
+	m.Seed(0x2010, 7) // a resident page is written through
+	if got := m.Read(0x2010, 8); got != 7 {
+		t.Fatalf("seed on a resident page = %#x", got)
+	}
+}
+
+func TestFlatMemSeedUnaligned(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Seed at an unaligned address did not panic")
+		}
+	}()
+	NewFlatMem().Seed(0x1004, 1)
+}
+
+// TestFlatMemSeededReadsDoNotAllocate: reading a seeded, non-resident page
+// — in page, straddling, byte-wise — allocates nothing and keeps it
+// non-resident; the first write to it allocates exactly as the first write
+// to a never-seeded page does.
+func TestFlatMemSeededReadsDoNotAllocate(t *testing.T) {
+	m := NewFlatMem()
+	for pg := uint64(0); pg < 8; pg++ {
+		m.Seed(pg*PageSize+0xff8, pg+1)
+	}
+	var sink uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		for pg := uint64(0); pg < 8; pg++ {
+			sink += m.Read(pg*PageSize+0xff8, 8)
+			sink += m.Read(pg*PageSize+0xffc, 8)
+			sink += uint64(m.ByteAt(pg*PageSize + 0xff9))
+			sink += m.Read(pg*PageSize+0x100, 4)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("seeded reads: %v allocs/run, want 0", allocs)
+	}
+	if m.Pages() != 0 {
+		t.Fatalf("seeded reads made %d pages resident", m.Pages())
+	}
+	if sink == 0 {
+		t.Fatal("seeded reads returned zero")
+	}
+
+	const runs = 64
+	firstWrites := func(seed bool) float64 {
+		m := NewFlatMem()
+		for pg := uint64(0); pg <= runs+1; pg++ {
+			if seed {
+				m.Seed(pg*PageSize+8, pg)
+			}
+		}
+		pg := uint64(0)
+		return testing.AllocsPerRun(runs, func() {
+			m.Write(pg*PageSize, 8, 1)
+			pg++
+		})
+	}
+	if s, p := firstWrites(true), firstWrites(false); s != p {
+		t.Fatalf("first write to a seeded page: %v allocs, to a fresh page: %v", s, p)
+	}
+}
+
 // loadProgram writes instructions at base and returns an interpreter.
 func loadProgram(insts []Inst, base uint64) *Interp {
 	m := NewFlatMem()

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"conspec/internal/serve"
 )
@@ -36,7 +37,15 @@ func TestClientSubmitWatchGet(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if st.ID == "" || st.Status != serve.StatusQueued {
+	// The 202 snapshot is taken after the job is queued, so a worker may
+	// already have picked it up (or finished it); the state to wait for is
+	// the terminal one Watch delivers below.
+	switch st.Status {
+	case serve.StatusQueued, serve.StatusRunning, serve.StatusDone:
+	default:
+		t.Fatalf("submit returned %+v", st)
+	}
+	if st.ID == "" {
 		t.Fatalf("submit returned %+v", st)
 	}
 
@@ -73,12 +82,21 @@ func TestClientSubmitWatchGet(t *testing.T) {
 		t.Fatalf("list returned %+v", jobs)
 	}
 
-	metrics, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	if !strings.Contains(metrics, "conspec_served_jobs_done_total 1") {
-		t.Fatalf("metrics missing done counter:\n%s", metrics)
+	// The done counter is bumped after the terminal event is published:
+	// wait for it rather than expect it at once.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		metrics, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatalf("metrics: %v", err)
+		}
+		if strings.Contains(metrics, "conspec_served_jobs_done_total 1") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("metrics missing done counter:\n%s", metrics)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -244,3 +244,32 @@ func TestLoadSeedsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadResidentPages: after Load, the only resident pages are the dense
+// regions — code, the segment table and the hot region. The cold pointer
+// ring is seeded, so its pages stay non-resident until a store touches them.
+func TestLoadResidentPages(t *testing.T) {
+	for _, p := range append(Profiles(), ICacheStress()) {
+		w := MustGenerate(p)
+		m := isa.NewFlatMem()
+		w.Load(m)
+		want := map[uint64]bool{}
+		for a := w.Prog.Base; a < w.Prog.End(); a += isa.InstBytes {
+			want[a>>isa.PageBits] = true
+		}
+		for addr, blob := range w.Prog.Data {
+			for i := range blob {
+				want[(addr+uint64(i))>>isa.PageBits] = true
+			}
+		}
+		if p.CodeSegments > 1 {
+			want[segTable>>isa.PageBits] = true
+		}
+		for off := 0; off < p.HotBytes; off += 64 {
+			want[(w.hotBase+uint64(off))>>isa.PageBits] = true
+		}
+		if m.Pages() != len(want) {
+			t.Errorf("%s: %d resident pages after Load, want %d (code, table, hot)", p.Name, m.Pages(), len(want))
+		}
+	}
+}
