@@ -363,7 +363,9 @@ func (c *Client) watchOnce(ctx context.Context, id string, epoch *string, lastSe
 		return 0, false, apiErr(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// Frames are small: let the buffer start at the scanner's default and
+	// grow only as far as a frame needs.
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		data, ok := strings.CutPrefix(sc.Text(), "data: ")
 		if !ok {

@@ -169,14 +169,8 @@ func (e Event) Terminal() bool {
 	return e.Type == "state" && e.Status.Terminal()
 }
 
-// subEventBuf bounds each subscriber's channel. A subscriber that falls
-// this far behind is disconnected (channel closed) rather than allowed to
-// stall the worker; the client re-fetches via GET, which never misses
-// state.
-const subEventBuf = 1024
-
 // job is the server-side job record: spec, lifecycle, result, and the
-// event history with its subscribers.
+// event history its watchers read.
 type job struct {
 	id    string
 	spec  JobSpec
@@ -195,9 +189,14 @@ type job struct {
 	engine     *report.EngineStats
 	result     *report.Report
 
-	events  []Event
-	subs    map[int]chan Event
-	nextSub int
+	// events is the append-only history. Watchers read it through a
+	// cursor (eventsFrom), so a watcher holds no buffer of its own and the
+	// worker never waits for one.
+	events []Event
+	// wake, when non-nil, is closed by the next publish; watchers that
+	// have read the whole history wait on it.
+	wake     chan struct{}
+	watchers int
 
 	// cancel is armed while running; cancelASAP marks a cancel request
 	// received before (or without) a running context.
@@ -223,7 +222,6 @@ func newJob(id string, spec JobSpec, epoch string) *job {
 		epoch:   epoch,
 		status:  StatusQueued,
 		created: time.Now().UTC(),
-		subs:    make(map[int]chan Event),
 		done:    make(chan struct{}),
 	}
 	j.publishLocked(Event{Type: "state", Status: StatusQueued})
@@ -240,32 +238,27 @@ func newRecoveredJob(id string, spec JobSpec, epoch string, submitted time.Time)
 		recovered: true,
 		status:    StatusQueued,
 		created:   submitted,
-		subs:      make(map[int]chan Event),
 		done:      make(chan struct{}),
 	}
 	j.publishLocked(Event{Type: "state", Status: StatusQueued})
 	return j
 }
 
-// publishLocked appends ev to the history and fans it out. Callers must
-// NOT hold j.mu for the initial newJob call; every other caller must.
+// publishLocked appends ev to the history and wakes waiting watchers.
+// Callers must NOT hold j.mu for the initial newJob call; every other
+// caller must.
 func (j *job) publishLocked(ev Event) {
 	ev.Job = j.id
 	ev.Epoch = j.epoch
 	ev.Seq = len(j.events)
 	j.events = append(j.events, ev)
-	for id, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-			// Slow consumer: close and drop rather than block the worker.
-			close(ch)
-			delete(j.subs, id)
-		}
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
 	}
 }
 
-// progress forwards one engine event to subscribers (the Runner serializes
+// progress forwards one engine event to watchers (the Runner serializes
 // OnEvent calls, but j.mu also guards against concurrent state publishes).
 func (j *job) progress(ev exp.ProgressEvent) {
 	j.mu.Lock()
@@ -274,30 +267,39 @@ func (j *job) progress(ev exp.ProgressEvent) {
 	j.publishLocked(Event{Type: "progress", Progress: &evCopy})
 }
 
-// subscribe returns a snapshot of the history and a channel of subsequent
-// events. The returned cancel func must be called exactly once; it
-// unregisters the subscriber and, for cancel_on_disconnect jobs, cancels
-// the job when the last watcher leaves while it is still live.
-func (j *job) subscribe() (history []Event, ch chan Event, unsub func()) {
+// subscribe registers a watcher. The returned func must be called exactly
+// once; it unregisters the watcher and, for cancel_on_disconnect jobs,
+// cancels the job when the last watcher leaves while it is still live.
+func (j *job) subscribe() (unsub func()) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	history = append([]Event(nil), j.events...)
-	ch = make(chan Event, subEventBuf)
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = ch
-	return history, ch, func() {
+	j.watchers++
+	j.mu.Unlock()
+	return func() {
 		j.mu.Lock()
-		if _, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-		}
-		abandoned := j.spec.CancelOnDisconnect && len(j.subs) == 0 && !j.status.Terminal()
+		j.watchers--
+		abandoned := j.spec.CancelOnDisconnect && j.watchers == 0 && !j.status.Terminal()
 		cb := j.onAbandoned
 		j.mu.Unlock()
 		if abandoned && cb != nil {
 			cb()
 		}
 	}
+}
+
+// eventsFrom returns the history from index next on. When there is none
+// yet, it returns a channel the next publish closes instead. The slice
+// aliases the history, which is only ever appended to, so it stays valid
+// without the lock.
+func (j *job) eventsFrom(next int) ([]Event, <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if n := len(j.events); next < n {
+		return j.events[next:n:n], nil
+	}
+	if j.wake == nil {
+		j.wake = make(chan struct{})
+	}
+	return nil, j.wake
 }
 
 // setWorker records which fleet worker holds (or held) the job's lease; a
@@ -340,7 +342,7 @@ func (j *job) begin(cancel context.CancelFunc) bool {
 }
 
 // finish records the terminal state and result, publishes the final state
-// event, disconnects subscribers after the final frame, and closes done.
+// event (watchers end their streams at it) and closes done.
 func (j *job) finish(status Status, rep *report.Report, engine *report.EngineStats, failedRuns int, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -355,10 +357,6 @@ func (j *job) finish(status Status, rep *report.Report, engine *report.EngineSta
 	j.err = errMsg
 	j.cancel = nil
 	j.publishLocked(Event{Type: "state", Status: status, Error: errMsg})
-	for id, ch := range j.subs {
-		close(ch)
-		delete(j.subs, id)
-	}
 	close(j.done)
 }
 

@@ -37,37 +37,29 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	history, ch, unsub := j.subscribe()
+	unsub := j.subscribe()
 	defer unsub()
-
-	for _, ev := range history {
-		if err := writeSSE(w, ev); err != nil {
-			return
-		}
-		if ev.Terminal() {
-			fl.Flush()
-			return
-		}
-	}
-	fl.Flush()
 
 	keepalive := time.NewTicker(s.cfg.SSEKeepalive)
 	defer keepalive.Stop()
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				// Evicted as a slow consumer or the job finished and closed
-				// the channel after its final frame was delivered.
-				return
-			}
+	for next := 0; ; {
+		evs, wake := j.eventsFrom(next)
+		for _, ev := range evs {
 			if err := writeSSE(w, ev); err != nil {
 				return
 			}
-			fl.Flush()
 			if ev.Terminal() {
+				fl.Flush()
 				return
 			}
+		}
+		if len(evs) > 0 {
+			next += len(evs)
+			fl.Flush()
+			continue
+		}
+		select {
+		case <-wake:
 		case <-keepalive.C:
 			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
 				return
