@@ -1,7 +1,7 @@
 # conspec build/verify targets.
 #
-#   make tier1          — the PR gate: build, lint (gofmt + vet), vet of the
-#                         perfbench benchmark module, full test
+#   make tier1          — the PR gate: build, lint (gofmt + vet), vet and
+#                         tests of the perfbench benchmark module, full test
 #                         suite, the race detector over the experiment
 #                         engine's worker pool, the obs sinks, and the serve
 #                         daemon, the chaos gate (fault-injection corpus +
@@ -35,7 +35,7 @@ GO ?= go
 # per-component microbenches.
 TRACKED_BENCHES = ^(BenchmarkFig5|BenchmarkSimSetup|BenchmarkSimulatorThroughput|BenchmarkSecMatrixDispatch|BenchmarkSecMatrixHazardCheck|BenchmarkTPBufQuery|BenchmarkCacheAccess)$$
 
-.PHONY: all build fmt vet perfbench-vet lint lint-defense test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix tier1 bench bench-snapshot bench-compare
+.PHONY: all build fmt vet perfbench-vet perfbench-test lint lint-defense test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix tier1 bench bench-snapshot bench-compare
 
 all: tier1
 
@@ -63,6 +63,12 @@ lint: fmt vet lint-defense
 # module has no dependencies beyond conspec.
 perfbench-vet:
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet .
+
+# perfbench's own tests run every workload once at a small size and check
+# each result document, so a service-tier change that breaks serve-mix or
+# fleet-mix fails here rather than first in a benchmark run (about 20 s).
+perfbench-test:
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) test .
 
 test:
 	$(GO) test ./...
@@ -133,7 +139,7 @@ trace-smoke:
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
-tier1: build lint perfbench-vet test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix
+tier1: build lint perfbench-vet perfbench-test test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x

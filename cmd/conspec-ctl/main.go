@@ -22,12 +22,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
+	"conspec/internal/fleet"
 	"conspec/internal/serve"
 	"conspec/internal/serve/client"
 )
@@ -233,8 +235,8 @@ func cmdList(ctx context.Context, c *client.Client) error {
 // ("workers drain <id>"). Standalone servers have no fleet and answer 404.
 func cmdWorkers(ctx context.Context, c *client.Client, args []string) error {
 	if len(args) == 2 && args[0] == "drain" {
-		w, err := c.DrainWorker(ctx, args[1])
-		if err != nil {
+		var w fleet.WorkerInfo
+		if _, err := c.Call(ctx, http.MethodPost, "/fleet/v1/workers/"+args[1]+"/drain", nil, &w); err != nil {
 			return err
 		}
 		fmt.Printf("%s draining (%d active leases to finish)\n", w.ID, w.Active)
@@ -243,8 +245,8 @@ func cmdWorkers(ctx context.Context, c *client.Client, args []string) error {
 	if len(args) != 0 {
 		return fmt.Errorf("usage: workers [drain <worker-id>]")
 	}
-	workers, err := c.Workers(ctx)
-	if err != nil {
+	var workers []fleet.WorkerInfo
+	if _, err := c.Call(ctx, http.MethodGet, "/fleet/v1/workers", nil, &workers); err != nil {
 		return err
 	}
 	if len(workers) == 0 {

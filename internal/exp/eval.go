@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"conspec/internal/core"
@@ -159,14 +158,4 @@ func (e *Evaluation) Table5Text() string {
 	tw.row("Paper avg", "88.7%", "73.6%", "3.6%", "89.6%", "1.7%", "18.2%")
 	tw.flush()
 	return sb.String()
-}
-
-// SortedBenchNames returns bench names in run order (test helper).
-func (e *Evaluation) SortedBenchNames() []string {
-	names := make([]string, len(e.Benches))
-	for i, b := range e.Benches {
-		names[i] = b.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -76,9 +76,9 @@ type RegisterResponse struct {
 }
 
 // IdentityMismatchError is the typed 409 body a registration with a
-// mismatched build identity receives (and the error ErrIdentityMismatch
-// wraps client-side). Both identities are included so the operator can see
-// exactly which binary is stale.
+// mismatched build identity receives, and the error Worker.Run returns for
+// it. Both identities are included so the operator can see exactly which
+// binary is stale.
 type IdentityMismatchError struct {
 	Err                 string `json:"error"`
 	CoordinatorIdentity string `json:"coordinator_identity"`
@@ -93,8 +93,6 @@ func (e *IdentityMismatchError) Error() string {
 // HeartbeatRequest is the worker's periodic liveness report.
 type HeartbeatRequest struct {
 	Worker string `json:"worker"`
-	// Leases lists the lease ids the worker is currently executing.
-	Leases []string `json:"leases,omitempty"`
 	// Metrics is a snapshot of the worker's cumulative counters
 	// (runs_executed_total, cache_hits_remote_total, ...), merged into the
 	// coordinator's Prometheus exposition with a worker label.

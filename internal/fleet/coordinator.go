@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -125,7 +127,8 @@ type lease struct {
 	// holding worker learns at its next progress flush or heartbeat.
 	cancelRequested bool
 
-	refs   int
+	// attach holds the jobs riding the lease; when the last one is
+	// released, the lease is canceled.
 	attach []*attachment
 
 	result *leaseResult
@@ -267,7 +270,6 @@ func (c *Coordinator) acquire(job serve.ExecJob) (*lease, *attachment, string) {
 	c.mu.Lock()
 	if key != "" {
 		if l := c.byKey[key]; l != nil && l.state != leaseDone {
-			l.refs++
 			l.attach = append(l.attach, att)
 			c.coalesced++
 			holder := l.worker
@@ -283,7 +285,6 @@ func (c *Coordinator) acquire(job serve.ExecJob) (*lease, *attachment, string) {
 		recovered: job.Recovered,
 		state:     leasePending,
 		gen:       1,
-		refs:      1,
 		attach:    []*attachment{att},
 		done:      make(chan struct{}),
 	}
@@ -309,8 +310,7 @@ func (c *Coordinator) release(l *lease, att *attachment) {
 			break
 		}
 	}
-	l.refs--
-	if l.refs > 0 || l.state == leaseDone {
+	if len(l.attach) > 0 || l.state == leaseDone {
 		return
 	}
 	l.cancelRequested = true
@@ -431,7 +431,8 @@ func (c *Coordinator) reap(now time.Time) {
 var errUnknownWorker = errors.New("unknown worker (re-register)")
 
 // register admits a worker. A re-registration under a live name replaces
-// the old worker, re-queueing anything it held.
+// the old worker, re-queueing anything it held. Its one refusal is an
+// *IdentityMismatchError.
 func (c *Coordinator) register(req RegisterRequest) (RegisterResponse, error) {
 	if req.Identity != c.opts.Identity {
 		return RegisterResponse{}, &IdentityMismatchError{
@@ -447,9 +448,12 @@ func (c *Coordinator) register(req RegisterRequest) (RegisterResponse, error) {
 	c.mu.Lock()
 	name := req.Name
 	if name == "" {
-		name = "w" + randSuffix()
-		for c.workers[name] != nil {
-			name = "w" + randSuffix()
+		for name == "" || c.workers[name] != nil {
+			var b [4]byte
+			if _, err := rand.Read(b[:]); err != nil {
+				panic("fleet: crypto/rand: " + err.Error()) // never fails on supported platforms
+			}
+			name = "w" + hex.EncodeToString(b[:])
 		}
 	}
 	if old := c.workers[name]; old != nil && !old.lost {
@@ -493,7 +497,10 @@ func (c *Coordinator) heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 }
 
 // leaseNext hands the requesting worker a job, long-polling up to wait
-// for one to arrive. A nil grant with nil error means no work (204).
+// for one to arrive. A nil grant with nil error means no work (204). A
+// draining worker gets no work, but its poll still waits out the window:
+// answered at once, its slots would re-poll in a tight loop until their
+// next heartbeat tells them to stop.
 func (c *Coordinator) leaseNext(workerID string, wait time.Duration) (*LeaseGrant, error) {
 	if wait < 0 {
 		wait = 0
@@ -510,11 +517,7 @@ func (c *Coordinator) leaseNext(workerID string, wait time.Duration) (*LeaseGran
 			return nil, errUnknownWorker
 		}
 		w.lastBeat = time.Now()
-		if w.draining {
-			c.mu.Unlock()
-			return nil, nil
-		}
-		if l := c.pickLocked(workerID); l != nil {
+		if l := c.pickLocked(w); l != nil {
 			l.state = leaseLeased
 			l.worker = workerID
 			w.active++
@@ -565,13 +568,13 @@ func setWorkerFuncs(l *lease) []func(string) {
 // rendezvous-preferred worker is the requester (cache affinity — repeated
 // identical specs land where their run results are already on local
 // disk), else the oldest outright (work conservation beats affinity).
-// Caller holds c.mu.
-func (c *Coordinator) pickLocked(workerID string) *lease {
-	if len(c.pending) == 0 {
+// A draining worker gets nothing. Caller holds c.mu.
+func (c *Coordinator) pickLocked(w *workerState) *lease {
+	if len(c.pending) == 0 || w.draining {
 		return nil
 	}
 	for i, l := range c.pending {
-		if c.preferredLocked(l.key) == workerID {
+		if c.preferredLocked(l.key) == w.id {
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
 			return l
 		}
@@ -694,12 +697,7 @@ func (c *Coordinator) workerInfos() []WorkerInfo {
 	defer c.mu.Unlock()
 	out := make([]WorkerInfo, 0, len(c.workers))
 	for _, w := range c.workers {
-		out = append(out, WorkerInfo{
-			ID: w.id, Slots: w.slots, Active: w.active,
-			Done: w.done, Failed: w.failed,
-			Draining: w.draining, Lost: w.lost,
-			Registered: w.registered, LastBeat: w.lastBeat,
-		})
+		out = append(out, w.info())
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
@@ -715,61 +713,20 @@ func (c *Coordinator) drainWorker(id string) (WorkerInfo, bool) {
 		return WorkerInfo{}, false
 	}
 	w.draining = true
+	return w.info(), true
+}
+
+// info renders the worker's wire row. Caller holds c.mu.
+func (w *workerState) info() WorkerInfo {
 	return WorkerInfo{
 		ID: w.id, Slots: w.slots, Active: w.active,
 		Done: w.done, Failed: w.failed,
 		Draining: w.draining, Lost: w.lost,
 		Registered: w.registered, LastBeat: w.lastBeat,
-	}, true
-}
-
-// randSuffix returns 8 hex chars for generated worker names.
-func randSuffix() string {
-	var b [4]byte
-	// crypto/rand via the same helper pattern serve uses would be
-	// overkill here; fnv over time is enough for a display name, but
-	// collisions must be impossible — use the time and a counter.
-	nameMu.Lock()
-	nameCounter++
-	n := nameCounter
-	nameMu.Unlock()
-	t := time.Now().UnixNano()
-	b[0] = byte(t >> 24)
-	b[1] = byte(t >> 8)
-	b[2] = byte(n >> 8)
-	b[3] = byte(n)
-	const hexdigits = "0123456789abcdef"
-	out := make([]byte, 8)
-	for i, v := range b {
-		out[2*i] = hexdigits[v>>4]
-		out[2*i+1] = hexdigits[v&0xf]
 	}
-	return string(out)
 }
-
-var (
-	nameMu      sync.Mutex
-	nameCounter uint64
-)
 
 // ---- HTTP plumbing ----
-
-// maxResultBody bounds PUT /fleet/v1/results and lease result posts
-// (result documents are JSON in the tens of KB; 64 MiB is a generous
-// ceiling, not a working size).
-const maxResultBody = 64 << 20
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
 
 // Handler routes /fleet/v1/* to the coordinator, merges the fleet series
 // into GET /metrics after the wrapped server's exposition, and forwards
@@ -801,95 +758,79 @@ func (c *Coordinator) Handler(next http.Handler) http.Handler {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad register request: " + err.Error()})
+	if !serve.ReadJSON(w, r, "register request", &req) {
 		return
 	}
 	resp, err := c.register(req)
 	if err != nil {
-		var mismatch *IdentityMismatchError
-		if errors.As(err, &mismatch) {
-			writeJSON(w, http.StatusConflict, mismatch)
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusConflict, err) // the typed identity mismatch
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
+}
+
+// reply answers a worker call: 410 Gone when the coordinator does not know
+// the worker (it must re-register), else 200 with resp.
+func reply(w http.ResponseWriter, resp any, err error) {
+	if err != nil {
+		serve.WriteError(w, http.StatusGone, err.Error())
+		return
+	}
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad heartbeat: " + err.Error()})
+	if !serve.ReadJSON(w, r, "heartbeat", &req) {
 		return
 	}
 	resp, err := c.heartbeat(req)
-	if err != nil {
-		writeJSON(w, http.StatusGone, apiError{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	reply(w, resp, err)
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad lease request: " + err.Error()})
+	if !serve.ReadJSON(w, r, "lease request", &req) {
 		return
 	}
 	grant, err := c.leaseNext(req.Worker, time.Duration(req.WaitMS)*time.Millisecond)
-	if err != nil {
-		writeJSON(w, http.StatusGone, apiError{Error: err.Error()})
-		return
-	}
-	if grant == nil {
+	if err == nil && grant == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusOK, grant)
+	reply(w, grant, err)
 }
 
 func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
 	var post ProgressPost
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxResultBody)).Decode(&post); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad progress post: " + err.Error()})
+	if !serve.ReadJSON(w, r, "progress post", &post) {
 		return
 	}
-	reply, err := c.progress(r.PathValue("id"), post)
-	if err != nil {
-		writeJSON(w, http.StatusGone, apiError{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, reply)
+	resp, err := c.progress(r.PathValue("id"), post)
+	reply(w, resp, err)
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var post ResultPost
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxResultBody)).Decode(&post); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad result post: " + err.Error()})
+	if !serve.ReadJSON(w, r, "result post", &post) {
 		return
 	}
-	reply, err := c.finishLease(r.PathValue("id"), post)
-	if err != nil {
-		writeJSON(w, http.StatusGone, apiError{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, reply)
+	resp, err := c.finishLease(r.PathValue("id"), post)
+	reply(w, resp, err)
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.workerInfos())
+	serve.WriteJSON(w, http.StatusOK, c.workerInfos())
 }
 
 func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	info, ok := c.drainWorker(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such worker"})
+		serve.WriteError(w, http.StatusNotFound, "no such worker")
 		return
 	}
 	c.logf("fleet: worker %s draining", info.ID)
-	writeJSON(w, http.StatusOK, info)
+	serve.WriteJSON(w, http.StatusOK, info)
 }
 
 func (c *Coordinator) handleResultGet(w http.ResponseWriter, r *http.Request) {
@@ -897,18 +838,18 @@ func (c *Coordinator) handleResultGet(w http.ResponseWriter, r *http.Request) {
 	c.resultGets++
 	c.mu.Unlock()
 	if c.opts.Store == nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "coordinator has no result store"})
+		serve.WriteError(w, http.StatusNotFound, "coordinator has no result store")
 		return
 	}
 	res, ok := c.opts.Store.Get(r.PathValue("key"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such result"})
+		serve.WriteError(w, http.StatusNotFound, "no such result")
 		return
 	}
 	c.mu.Lock()
 	c.resultHits++
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, res)
+	serve.WriteJSON(w, http.StatusOK, res)
 }
 
 func (c *Coordinator) handleResultPut(w http.ResponseWriter, r *http.Request) {
@@ -920,8 +861,7 @@ func (c *Coordinator) handleResultPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var res pipeline.Result
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxResultBody)).Decode(&res); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad result body: " + err.Error()})
+	if !serve.ReadJSON(w, r, "result body", &res) {
 		return
 	}
 	c.opts.Store.Put(r.PathValue("key"), res)

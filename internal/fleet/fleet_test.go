@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -631,5 +632,67 @@ func TestJobKeyCoalescingKey(t *testing.T) {
 	b.Measure = 5000
 	if jobKeyOf(a) == jobKeyOf(b) {
 		t.Fatal("different measure budgets must not coalesce")
+	}
+}
+
+// TestDrainedWorkerPollsWait: a worker drained between heartbeats keeps
+// polling until its next heartbeat tells it to stop. Each of those polls
+// must wait out its window, as on an empty queue; answered at once, the
+// worker's slots re-poll in a tight loop.
+func TestDrainedWorkerPollsWait(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorOptions{
+		Identity:          "e2e",
+		HeartbeatInterval: 2 * time.Second,
+		LeaseWait:         250 * time.Millisecond,
+	})
+	var polls atomic.Int64
+	h := c.Handler(http.NotFoundHandler())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/fleet/v1/lease" {
+			polls.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	w := NewWorker(WorkerOptions{
+		Coordinator: srv.URL, Name: "w1", Identity: "e2e", Slots: 2,
+		execOverride: func(ctx context.Context, spec serve.JobSpec, emit func(exp.ProgressEvent)) (*report.Report, exp.Stats, int, error) {
+			t.Error("a drained worker was handed a lease")
+			return report.New(), exp.Stats{}, 0, nil
+		},
+	})
+	wctx, wcancel := context.WithCancel(context.Background())
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- w.Run(wctx) }()
+	defer func() {
+		wcancel()
+		<-workerDone
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for polls.Load() < 2 { // both slots are long-polling
+		if time.Now().After(deadline) {
+			t.Fatal("worker never polled for leases")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Drain it, then queue a job: the pending lease wakes both polls. The
+	// worker learns it is draining only at its first heartbeat, 2 s after
+	// registering; the window below ends well before that.
+	if _, ok := c.drainWorker("w1"); !ok {
+		t.Fatal("drain: worker w1 not registered")
+	}
+	jctx, jcancel := context.WithCancel(context.Background())
+	out := startExec(c, jctx, serve.ExecJob{ID: "job-1", Spec: serve.JobSpec{Suite: "lru"}})
+	before := polls.Load()
+	time.Sleep(time.Second)
+	n := polls.Load() - before
+	jcancel()
+	<-out
+
+	// Two slots polling 250 ms windows make about 8 polls in a second.
+	if n > 12 {
+		t.Fatalf("drained worker sent %d lease polls in 1s, want at most 12 (one per slot per poll window)", n)
 	}
 }

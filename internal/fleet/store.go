@@ -1,10 +1,7 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -12,6 +9,7 @@ import (
 
 	"conspec/internal/exp"
 	"conspec/internal/pipeline"
+	"conspec/internal/serve/client"
 )
 
 // ResultStore is the pluggable persistent result tier the fleet threads
@@ -27,9 +25,7 @@ type ResultStore = exp.ResultCache
 // coordinator's content-addressed store without a shared filesystem. All
 // errors degrade to misses/dropped writes, per the ResultCache contract.
 type RemoteStore struct {
-	base    string // coordinator base URL, no trailing slash
-	client  *http.Client
-	timeout time.Duration
+	c client.Client
 
 	gets, hits, puts, errs atomic.Uint64
 }
@@ -39,50 +35,34 @@ type RemoteStoreStats struct {
 	Gets, Hits, Puts, Errs uint64
 }
 
-// NewRemoteStore returns a store over the coordinator at baseURL. A nil
-// client uses http.DefaultClient; requests are bounded by an internal
-// per-call timeout so a hung coordinator degrades to cache misses, not a
-// wedged worker.
-func NewRemoteStore(baseURL string, client *http.Client) *RemoteStore {
-	if client == nil {
-		client = http.DefaultClient
+// remoteTimeout bounds one result store call, so a hung coordinator
+// degrades to cache misses, not a wedged worker.
+const remoteTimeout = 30 * time.Second
+
+// NewRemoteStore returns a store over the coordinator at baseURL. A nil hc
+// uses http.DefaultClient; each call is bounded by remoteTimeout.
+func NewRemoteStore(baseURL string, hc *http.Client) *RemoteStore {
+	if hc == nil {
+		hc = http.DefaultClient
 	}
-	return &RemoteStore{
-		base:    strings.TrimRight(baseURL, "/"),
-		client:  client,
-		timeout: 30 * time.Second,
-	}
+	timed := *hc
+	timed.Timeout = remoteTimeout
+	return &RemoteStore{c: client.Client{BaseURL: strings.TrimRight(baseURL, "/"), HTTPClient: &timed}}
 }
 
-// Get implements ResultStore.
+// Get implements ResultStore. A 404 is a plain miss; any other failure
+// also counts as an error.
 func (r *RemoteStore) Get(key string) (pipeline.Result, bool) {
 	if r == nil {
 		return pipeline.Result{}, false
 	}
 	r.gets.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), r.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/fleet/v1/results/"+key, nil)
-	if err != nil {
-		r.errs.Add(1)
-		return pipeline.Result{}, false
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		r.errs.Add(1)
-		return pipeline.Result{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		if resp.StatusCode != http.StatusNotFound {
+	var res pipeline.Result
+	found, err := r.c.Call(context.Background(), http.MethodGet, "/fleet/v1/results/"+key, nil, &res)
+	if err != nil || !found {
+		if !isStatus(err, http.StatusNotFound) {
 			r.errs.Add(1)
 		}
-		return pipeline.Result{}, false
-	}
-	var res pipeline.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		r.errs.Add(1)
 		return pipeline.Result{}, false
 	}
 	r.hits.Add(1)
@@ -97,27 +77,7 @@ func (r *RemoteStore) Put(key string, res pipeline.Result) {
 		return
 	}
 	r.puts.Add(1)
-	b, err := json.Marshal(res)
-	if err != nil {
-		r.errs.Add(1)
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), r.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, r.base+"/fleet/v1/results/"+key, bytes.NewReader(b))
-	if err != nil {
-		r.errs.Add(1)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		r.errs.Add(1)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
+	if _, err := r.c.Call(context.Background(), http.MethodPut, "/fleet/v1/results/"+key, res, nil); err != nil {
 		r.errs.Add(1)
 	}
 }

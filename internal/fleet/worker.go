@@ -1,12 +1,11 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -16,6 +15,7 @@ import (
 	"conspec/internal/exp"
 	"conspec/internal/exp/report"
 	"conspec/internal/serve"
+	"conspec/internal/serve/client"
 )
 
 // WorkerOptions parameterizes a Worker.
@@ -39,8 +39,6 @@ type WorkerOptions struct {
 	LocalCache ResultStore
 	// Identity overrides the binary's build identity (tests only).
 	Identity string
-	// HTTPClient overrides the transport (tests only).
-	HTTPClient *http.Client
 	// ProgressFlush is the progress batching interval (default 300ms).
 	ProgressFlush time.Duration
 	// Logf, when non-nil, receives one line per worker event.
@@ -56,10 +54,13 @@ type WorkerOptions struct {
 // progress back, and publishes the terminal result. All traffic is
 // outbound; a worker needs no inbound port.
 type Worker struct {
-	opts   WorkerOptions
-	client *http.Client
-	remote *RemoteStore
-	store  *TieredStore
+	opts WorkerOptions
+	// coord bounds each attempt at workerCallTimeout (register, progress,
+	// result); poll is bounded by the session alone (heartbeat and the lease
+	// long-poll).
+	coord, poll client.Client
+	remote      *RemoteStore
+	store       *TieredStore
 
 	mu       sync.Mutex
 	id       string
@@ -85,19 +86,44 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.ProgressFlush <= 0 {
 		opts.ProgressFlush = 300 * time.Millisecond
 	}
-	client := opts.HTTPClient
-	if client == nil {
-		client = &http.Client{}
-	}
+	base := strings.TrimRight(opts.Coordinator, "/")
 	w := &Worker{
 		opts:     opts,
-		client:   client,
-		remote:   NewRemoteStore(opts.Coordinator, client),
+		coord:    client.Client{BaseURL: base, HTTPClient: &http.Client{Timeout: workerCallTimeout}},
+		poll:     client.Client{BaseURL: base},
+		remote:   NewRemoteStore(base, nil),
 		active:   make(map[string]*activeLease),
 		counters: make(map[string]uint64),
 	}
 	w.store = &TieredStore{Local: opts.LocalCache, Remote: w.remote}
 	return w
+}
+
+// workerCallTimeout bounds one attempt of a registration, a progress flush
+// or a result post, so a hung coordinator cannot wedge a slot.
+const workerCallTimeout = 10 * time.Second
+
+// workerBackoff is the pacing of the worker's retried calls and of its lease
+// poll after a failure: 200 ms doubling to 5 s.
+var workerBackoff = client.RetryPolicy{BaseDelay: 200 * time.Millisecond, MaxDelay: 5 * time.Second}
+
+// post makes a retried coordinator call on the timed client, with up to
+// attempts tries, logging each retry.
+func (w *Worker) post(ctx context.Context, attempts int, path string, in, out any) error {
+	c := w.coord
+	c.Retry = workerBackoff
+	c.Retry.MaxAttempts = attempts
+	c.Retry.OnRetry = func(attempt int, d time.Duration, err error) {
+		w.logf("fleet: %s: %v (retry %d in %v)", path, err, attempt, d.Round(time.Millisecond))
+	}
+	_, err := c.Call(ctx, http.MethodPost, path, in, out)
+	return err
+}
+
+// isStatus reports whether err is the coordinator answering code.
+func isStatus(err error, code int) bool {
+	var apiErr *client.APIError
+	return errors.As(err, &apiErr) && apiErr.StatusCode == code
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -116,8 +142,10 @@ func (w *Worker) ID() string {
 // Run registers and serves leases until ctx is canceled, re-registering
 // whenever the coordinator forgets the worker (coordinator restart, or
 // a heartbeat gap long enough to be declared lost). It returns nil on a
-// clean shutdown and a terminal error — an *IdentityMismatchError — when
-// the coordinator refuses this binary.
+// clean shutdown and a terminal error when registration is refused: an
+// *IdentityMismatchError when the coordinator runs another build, or the
+// *client.APIError of any other definitive answer (a 404 from a server that
+// is not a coordinator). Transport failures, 429 and 503 are retried.
 func (w *Worker) Run(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -183,22 +211,19 @@ func (w *Worker) heartbeatLoop(ctx context.Context, stale context.CancelFunc, id
 			return
 		case <-t.C:
 		}
-		req := HeartbeatRequest{Worker: id, Leases: w.activeIDs(), Metrics: w.metricsSnapshot()}
+		req := HeartbeatRequest{Worker: id, Metrics: w.metricsSnapshot()}
 		var resp HeartbeatResponse
-		code, err := w.postJSON(ctx, "/fleet/v1/heartbeat", req, &resp)
+		_, err := w.poll.Call(ctx, http.MethodPost, "/fleet/v1/heartbeat", req, &resp)
+		if isStatus(err, http.StatusGone) {
+			w.logf("fleet: coordinator no longer knows us; re-registering")
+			stale()
+			return
+		}
 		if err != nil {
 			if ctx.Err() != nil {
 				return
 			}
 			w.logf("fleet: heartbeat: %v", err)
-			continue
-		}
-		if code == http.StatusGone {
-			w.logf("fleet: coordinator no longer knows us; re-registering")
-			stale()
-			return
-		}
-		if code != http.StatusOK {
 			continue
 		}
 		if resp.Draining {
@@ -230,13 +255,11 @@ func (w *Worker) cancelLease(leaseID string) {
 	}
 }
 
-// leaseLoop long-polls one slot for grants and executes them.
+// leaseLoop long-polls one slot for grants and executes them. A poll is a
+// single attempt: retrying one whose grant response was lost would lease a
+// second job to the slot. Failures instead pace the next poll.
 func (w *Worker) leaseLoop(ctx context.Context, stale context.CancelFunc, id string) {
-	backoff := 200 * time.Millisecond
-	for {
-		if ctx.Err() != nil {
-			return
-		}
+	for fails := 0; ctx.Err() == nil; {
 		if w.isDraining() {
 			// Drained: stop asking. The heartbeat loop keeps the session
 			// alive so active leases on other slots can finish.
@@ -248,39 +271,26 @@ func (w *Worker) leaseLoop(ctx context.Context, stale context.CancelFunc, id str
 			continue
 		}
 		var grant LeaseGrant
-		code, err := w.postJSON(ctx, "/fleet/v1/lease", LeaseRequest{Worker: id, WaitMS: 5000}, &grant)
+		granted, err := w.poll.Call(ctx, http.MethodPost, "/fleet/v1/lease", LeaseRequest{Worker: id, WaitMS: 5000}, &grant)
 		switch {
+		case isStatus(err, http.StatusGone):
+			stale()
+			return
 		case err != nil:
 			if ctx.Err() != nil {
 				return
 			}
 			w.logf("fleet: lease poll: %v", err)
-			select {
-			case <-ctx.Done():
+			if workerBackoff.Backoff(ctx, fails, err) != nil {
 				return
-			case <-time.After(backoff):
 			}
-			if backoff < 5*time.Second {
-				backoff *= 2
-			}
-			continue
-		case code == http.StatusGone:
-			stale()
-			return
-		case code == http.StatusNoContent:
-			backoff = 200 * time.Millisecond
-			continue
-		case code != http.StatusOK:
-			w.logf("fleet: lease poll: unexpected status %d", code)
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(backoff):
-			}
-			continue
+			fails++
+		case granted:
+			fails = 0
+			w.execute(ctx, id, grant)
+		default:
+			fails = 0 // 204: the poll window passed without work
 		}
-		backoff = 200 * time.Millisecond
-		w.execute(ctx, id, grant)
 	}
 }
 
@@ -355,82 +365,41 @@ func (w *Worker) runSpec(ctx context.Context, spec serve.JobSpec, emit func(exp.
 }
 
 // postResult publishes a terminal lease status. The session context is
-// often already canceled here (shutdown posting abandoned), so it uses a
-// fresh bounded context and retries transient failures briefly — after
-// that the heartbeat-timeout reaper covers us.
+// often already canceled here (shutdown posting abandoned), so it posts
+// under a fresh context and tries three times — after that the
+// heartbeat-timeout reaper covers us.
 func (w *Worker) postResult(leaseID string, post ResultPost) {
-	for attempt := 0; attempt < 3; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		var reply ResultReply
-		code, err := w.postJSON(ctx, "/fleet/v1/leases/"+leaseID+"/result", post, &reply)
-		cancel()
-		if err == nil && code/100 == 2 {
-			if !reply.Accepted {
-				w.logf("fleet: result for lease %s ignored (stale generation)", leaseID)
-			}
-			return
-		}
-		if err == nil {
-			w.logf("fleet: result post for lease %s: status %d", leaseID, code)
-			return
-		}
-		w.logf("fleet: result post for lease %s: %v (attempt %d)", leaseID, err, attempt+1)
-		time.Sleep(500 * time.Millisecond)
+	var reply ResultReply
+	err := w.post(context.Background(), 3, "/fleet/v1/leases/"+leaseID+"/result", post, &reply)
+	switch {
+	case err != nil:
+		w.logf("fleet: result post for lease %s: %v", leaseID, err)
+	case !reply.Accepted:
+		w.logf("fleet: result for lease %s ignored (stale generation)", leaseID)
 	}
 }
 
-// register announces the worker, retrying transient errors with backoff.
-// An identity 409 is terminal: a stale binary must not join the fleet.
+// register announces the worker, retrying transient failures until ctx
+// ends. An identity 409 is terminal: a stale binary must not join the fleet.
 func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
 	req := RegisterRequest{Name: w.opts.Name, Identity: w.opts.Identity, Slots: w.opts.Slots}
-	backoff := 200 * time.Millisecond
-	for {
-		rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		var resp RegisterResponse
+	var resp RegisterResponse
+	err := w.post(ctx, math.MaxInt, "/fleet/v1/register", req, &resp)
+	var apiErr *client.APIError
+	if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict {
 		var mismatch IdentityMismatchError
-		code, body, err := w.postJSONRaw(rctx, "/fleet/v1/register", req)
-		cancel()
-		switch {
-		case err == nil && code == http.StatusOK:
-			if jerr := json.Unmarshal(body, &resp); jerr != nil {
-				err = fmt.Errorf("bad register response: %w", jerr)
-				break
-			}
-			return resp, nil
-		case err == nil && code == http.StatusConflict:
-			if json.Unmarshal(body, &mismatch) == nil && mismatch.CoordinatorIdentity != "" {
-				return RegisterResponse{}, &mismatch
-			}
-			return RegisterResponse{}, fmt.Errorf("registration refused: %s", strings.TrimSpace(string(body)))
-		case err == nil:
-			err = fmt.Errorf("register: unexpected status %d: %s", code, strings.TrimSpace(string(body)))
+		if json.Unmarshal(apiErr.Body, &mismatch) == nil && mismatch.CoordinatorIdentity != "" {
+			return resp, &mismatch
 		}
-		w.logf("fleet: %v (retrying in %v)", err, backoff)
-		select {
-		case <-ctx.Done():
-			return RegisterResponse{}, ctx.Err()
-		case <-time.After(backoff):
-		}
-		if backoff < 5*time.Second {
-			backoff *= 2
-		}
+		return resp, fmt.Errorf("registration refused: %s", apiErr.Message)
 	}
+	return resp, err
 }
 
 func (w *Worker) isDraining() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.draining
-}
-
-func (w *Worker) activeIDs() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ids := make([]string, 0, len(w.active))
-	for id := range w.active {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // bump / bumpBy maintain the worker's cumulative counters, pushed to the
@@ -461,45 +430,6 @@ func (w *Worker) metricsSnapshot() map[string]uint64 {
 	m["remote_result_puts_total"] = rs.Puts
 	m["remote_result_errors_total"] = rs.Errs
 	return m
-}
-
-// postJSON posts v to path and decodes a 2xx body into out (when non-nil).
-// Non-2xx statuses are returned without error so callers can branch on
-// protocol codes (204, 409, 410).
-func (w *Worker) postJSON(ctx context.Context, path string, v, out any) (int, error) {
-	code, body, err := w.postJSONRaw(ctx, path, v)
-	if err != nil {
-		return 0, err
-	}
-	if code/100 == 2 && out != nil && len(body) > 0 {
-		if err := json.Unmarshal(body, out); err != nil {
-			return code, fmt.Errorf("decode %s response: %w", path, err)
-		}
-	}
-	return code, nil
-}
-
-func (w *Worker) postJSONRaw(ctx context.Context, path string, v any) (int, []byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return 0, nil, err
-	}
-	base := strings.TrimRight(w.opts.Coordinator, "/")
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(b))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBody))
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, body, nil
 }
 
 // progressBatcher batches a lease's engine progress events and flushes
@@ -560,15 +490,11 @@ func (pb *progressBatcher) flush() {
 	if len(events) == 0 {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	var reply ProgressReply
-	code, err := pb.w.postJSON(ctx, "/fleet/v1/leases/"+pb.grant.Lease+"/progress",
+	_, err := pb.w.coord.Call(context.Background(), http.MethodPost, "/fleet/v1/leases/"+pb.grant.Lease+"/progress",
 		ProgressPost{Worker: pb.workerID, Gen: pb.grant.Gen, Events: events}, &reply)
-	if err != nil || code != http.StatusOK {
-		return // progress is best-effort; results carry the truth
-	}
-	if reply.Canceled {
+	// Progress is best-effort (one attempt); results carry the truth.
+	if err == nil && reply.Canceled {
 		pb.w.cancelLease(pb.grant.Lease)
 	}
 }

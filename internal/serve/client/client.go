@@ -1,5 +1,6 @@
-// Package client is the Go client for the conspec-served HTTP API. It is
-// the library behind conspec-ctl and the serve-smoke harness, and keeps the
+// Package client is the Go client for the conspec-served HTTP API and the
+// service tier's only HTTP caller: conspec-ctl, the fleet worker and the
+// fleet's remote result store all go through Client.Call. It keeps the
 // wire types (serve.JobSpec, serve.JobStatus, serve.Event) as the single
 // source of truth for both sides.
 package client
@@ -17,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"conspec/internal/fleet"
 	"conspec/internal/serve"
 )
 
@@ -25,9 +25,10 @@ import (
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8344".
 	BaseURL string
-	// HTTPClient defaults to http.DefaultClient. Watch streams
-	// indefinitely, so the client must not set an overall Timeout; bound
-	// watches with the context instead.
+	// HTTPClient defaults to http.DefaultClient. Its Timeout, if set,
+	// bounds each attempt of a call. Watch streams indefinitely, so a
+	// client that watches must not set one; bound watches with the context
+	// instead.
 	HTTPClient *http.Client
 	// Retry, when enabled (MaxAttempts > 1), makes every request retry
 	// transient failures — transport errors, 429 queue-full, 503 draining —
@@ -59,8 +60,6 @@ func DefaultRetry() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 6, BaseDelay: 200 * time.Millisecond, MaxDelay: 10 * time.Second}
 }
 
-func (p RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
-
 // delay computes the backoff before attempt (0-based) retries, honoring the
 // server's Retry-After when err carries one.
 func (p RetryPolicy) delay(attempt int, err error) time.Duration {
@@ -85,6 +84,25 @@ func (p RetryPolicy) delay(attempt int, err error) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
+// Backoff waits out the delay before retry number attempt (0-based) of a
+// call that failed with err, reporting it to OnRetry first. It returns
+// ctx.Err() if ctx ends before the delay does. Loops that must not retry
+// inside one call (a fleet worker's lease poll) pace themselves with it.
+func (p RetryPolicy) Backoff(ctx context.Context, attempt int, err error) error {
+	d := p.delay(attempt, err)
+	if p.OnRetry != nil {
+		p.OnRetry(attempt+1, d, err)
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
+
 // retryable reports whether err is worth retrying: retryable API rejections
 // (429/503) and transport-level failures, but never context cancellation or
 // definitive server answers (4xx/5xx others).
@@ -104,16 +122,11 @@ func retryable(err error) bool {
 	return true
 }
 
-// sleepCtx sleeps d or until ctx is done, returning ctx.Err() in that case.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+// transient is retryable plus a case only the caller's ctx can tell apart:
+// a DeadlineExceeded while ctx is still live is one attempt running out its
+// HTTPClient.Timeout, not the caller giving up.
+func transient(ctx context.Context, err error) bool {
+	return retryable(err) || ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded)
 }
 
 // New returns a client for baseURL.
@@ -135,6 +148,9 @@ type APIError struct {
 	// RetryAfter is the parsed Retry-After header, if the server sent one
 	// (429 queue-full and 503 draining responses do).
 	RetryAfter time.Duration
+	// Body is the raw error body (at most 64 KB), for callers whose
+	// endpoint answers with a typed error document.
+	Body []byte
 }
 
 func (e *APIError) Error() string {
@@ -151,11 +167,14 @@ func (e *APIError) IsRetryable() bool {
 }
 
 func apiErr(resp *http.Response) error {
+	e := &APIError{StatusCode: resp.StatusCode}
+	e.Body, _ = io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	var body struct {
 		Error string `json:"error"`
 	}
-	json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body)
-	e := &APIError{StatusCode: resp.StatusCode, Message: body.Error}
+	if json.Unmarshal(e.Body, &body) == nil {
+		e.Message = body.Error
+	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		var secs int
 		if _, err := fmt.Sscanf(ra, "%d", &secs); err == nil {
@@ -165,131 +184,137 @@ func apiErr(resp *http.Response) error {
 	return e
 }
 
-// do runs one API request, retrying transient failures per c.Retry. A POST
-// retried after a transport error may have been applied by the server (the
-// response was lost, not necessarily the request); for job submission that
-// at worst queues a duplicate job, which the shared result cache serves
-// without re-simulation.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// Call sends in (when non-nil) as JSON to path and decodes a 2xx reply into
+// out (when non-nil), retrying transient failures per c.Retry. A *[]byte out
+// receives the raw body instead. A 204 No Content leaves out untouched and
+// reports false; every other 2xx reports true. A non-2xx reply is an
+// *APIError.
+//
+// A POST retried after a transport error may have been applied by the
+// server (the response was lost, not necessarily the request); for job
+// submission that at worst queues a duplicate job, which the shared result
+// cache serves without re-simulation. Calls that must not be repeated use a
+// Client whose Retry is the zero policy.
+func (c *Client) Call(ctx context.Context, method, path string, in, out any) (bool, error) {
 	var data []byte
 	if in != nil {
 		var err error
 		if data, err = json.Marshal(in); err != nil {
-			return err
+			return false, err
 		}
 	}
-	attempts := c.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
 	for attempt := 0; ; attempt++ {
-		if err = c.doOnce(ctx, method, path, data, out); err == nil {
-			return nil
+		body, err := c.callOnce(ctx, method, path, data, out)
+		if err == nil {
+			return body, nil
 		}
-		if attempt+1 >= attempts || !retryable(err) {
-			return err
+		if attempt+1 >= c.Retry.MaxAttempts || !transient(ctx, err) {
+			return false, err
 		}
-		d := c.Retry.delay(attempt, err)
-		if c.Retry.OnRetry != nil {
-			c.Retry.OnRetry(attempt+1, d, err)
-		}
-		if sleepCtx(ctx, d) != nil {
-			return err // the last real failure, not the cancellation
+		if c.Retry.Backoff(ctx, attempt, err) != nil {
+			return false, err // the last real failure, not the cancellation
 		}
 	}
 }
 
-func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, out any) error {
+func (c *Client) callOnce(ctx context.Context, method, path string, data []byte, out any) (bool, error) {
+	resp, err := c.send(ctx, method, path, data)
+	if err != nil {
+		return false, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNoContent {
+		return false, nil
+	}
+	switch o := out.(type) {
+	case nil:
+	case *[]byte:
+		*o, err = io.ReadAll(resp.Body)
+	default:
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	// Drain what the decoder left (a trailing newline, a chunked trailer)
+	// so the connection goes back to the pool.
+	io.Copy(io.Discard, resp.Body)
+	return true, err
+}
+
+// send issues one request and returns the 2xx response; a non-2xx reply is
+// read into an *APIError and closed.
+func (c *Client) send(ctx context.Context, method, path string, data []byte) (*http.Response, error) {
 	var body io.Reader
 	if data != nil {
 		body = bytes.NewReader(data)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if data != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return apiErr(resp)
+		defer resp.Body.Close()
+		return nil, apiErr(resp)
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return resp, nil
+}
+
+// call is Call for the job API, where no endpoint answers 204.
+func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
+	_, err := c.Call(ctx, method, path, in, out)
+	return err
 }
 
 // Submit queues a job and returns its initial status.
 func (c *Client) Submit(ctx context.Context, spec serve.JobSpec) (serve.JobStatus, error) {
 	var st serve.JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/jobs", spec, &st)
+	err := c.call(ctx, http.MethodPost, "/v1/jobs", spec, &st)
 	return st, err
 }
 
 // Get fetches one job, including the result document once it is done.
 func (c *Client) Get(ctx context.Context, id string) (serve.JobStatus, error) {
 	var st serve.JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
+	err := c.call(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
 	return st, err
 }
 
 // List fetches all jobs, newest first (no result bodies).
 func (c *Client) List(ctx context.Context) ([]serve.JobStatus, error) {
 	var out []serve.JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &out)
+	err := c.call(ctx, http.MethodGet, "/v1/jobs", nil, &out)
 	return out, err
 }
 
 // Cancel requests cancellation of a queued or running job.
 func (c *Client) Cancel(ctx context.Context, id string) (serve.JobStatus, error) {
 	var st serve.JobStatus
-	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st)
+	err := c.call(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st)
 	return st, err
 }
 
 // Trace fetches a job's span trace as Chrome trace-event JSON (the raw
-// document, loadable in Perfetto) and writes it to w.
+// document, loadable in Perfetto) and writes it to w. The document is read
+// whole before any of it is written, so a retried fetch never writes twice.
 func (c *Client) Trace(ctx context.Context, id string, w io.Writer) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/trace", nil)
-	if err != nil {
+	var doc []byte
+	if err := c.call(ctx, http.MethodGet, "/v1/jobs/"+id+"/trace", nil, &doc); err != nil {
 		return err
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiErr(resp)
-	}
-	_, err = io.Copy(w, resp.Body)
+	_, err := w.Write(doc)
 	return err
 }
 
 // Metrics fetches the Prometheus exposition text.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", apiErr(resp)
-	}
-	out, err := io.ReadAll(resp.Body)
-	return string(out), err
+	var text []byte
+	err := c.call(ctx, http.MethodGet, "/metrics", nil, &text)
+	return string(text), err
 }
 
 // callbackError marks an error that came from the caller's fn, which must
@@ -332,17 +357,13 @@ func (c *Client) Watch(ctx context.Context, id string, fn func(serve.Event) erro
 		if delivered > 0 {
 			attempt = 0
 		}
-		if attempt+1 >= c.Retry.MaxAttempts || !retryable(err) {
+		if attempt+1 >= c.Retry.MaxAttempts || !transient(ctx, err) {
 			return err
 		}
-		d := c.Retry.delay(attempt, err)
+		if c.Retry.Backoff(ctx, attempt, err) != nil {
+			return err
+		}
 		attempt++
-		if c.Retry.OnRetry != nil {
-			c.Retry.OnRetry(attempt, d, err)
-		}
-		if sleepCtx(ctx, d) != nil {
-			return err
-		}
 	}
 }
 
@@ -350,18 +371,11 @@ func (c *Client) Watch(ctx context.Context, id string, fn func(serve.Event) erro
 // beyond (*epoch, *lastSeen) and advancing them. It returns how many events
 // it delivered and whether the stream reached a terminal frame.
 func (c *Client) watchOnce(ctx context.Context, id string, epoch *string, lastSeen *int, fn func(serve.Event) error) (delivered int, terminal bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return 0, false, err
-	}
-	resp, err := c.http().Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return 0, false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, false, apiErr(resp)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	// Frames are small: let the buffer start at the scanner's default and
 	// grow only as far as a frame needs.
@@ -393,30 +407,4 @@ func (c *Client) watchOnce(ctx context.Context, id string, epoch *string, lastSe
 		}
 	}
 	return delivered, false, sc.Err()
-}
-
-// WaitDone watches id until it reaches a terminal state and returns the
-// final status (with the result document).
-func (c *Client) WaitDone(ctx context.Context, id string) (serve.JobStatus, error) {
-	err := c.Watch(ctx, id, func(serve.Event) error { return nil })
-	if err != nil {
-		return serve.JobStatus{}, err
-	}
-	return c.Get(ctx, id)
-}
-
-// Workers lists the fleet's registered workers — coordinator-mode servers
-// only (standalone servers answer 404).
-func (c *Client) Workers(ctx context.Context) ([]fleet.WorkerInfo, error) {
-	var out []fleet.WorkerInfo
-	err := c.do(ctx, http.MethodGet, "/fleet/v1/workers", nil, &out)
-	return out, err
-}
-
-// DrainWorker marks a fleet worker draining: it finishes its active
-// leases and is handed no new ones.
-func (c *Client) DrainWorker(ctx context.Context, id string) (fleet.WorkerInfo, error) {
-	var out fleet.WorkerInfo
-	err := c.do(ctx, http.MethodPost, "/fleet/v1/workers/"+id+"/drain", nil, &out)
-	return out, err
 }

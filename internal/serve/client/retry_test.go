@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -50,6 +51,61 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 	}
 	if len(retries) != 2 {
 		t.Fatalf("OnRetry fired %d times, want 2", len(retries))
+	}
+
+	// Metrics and Trace ride the same retrying call: each first meets a 503.
+	var raw int32
+	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if atomic.AddInt32(&raw, 1)%2 == 1 {
+			http.Error(w, `{"error":"server is draining"}`, http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprint(w, r.URL.Path)
+	}))
+	defer ts2.Close()
+	c2 := New(ts2.URL)
+	c2.Retry = fastRetry(2)
+	if text, err := c2.Metrics(context.Background()); err != nil || text != "/metrics" {
+		t.Fatalf("metrics after a 503 = %q, %v", text, err)
+	}
+	var doc strings.Builder
+	if err := c2.Trace(context.Background(), "j1", &doc); err != nil || doc.String() != "/v1/jobs/j1/trace" {
+		t.Fatalf("trace after a 503 = %q, %v", doc.String(), err)
+	}
+	if got := atomic.LoadInt32(&raw); got != 4 {
+		t.Fatalf("server saw %d calls, want 4 (one retry each)", got)
+	}
+}
+
+// TestRetryAttemptTimeout: one attempt running out HTTPClient.Timeout is
+// transient and retried, while the caller's own deadline is not.
+func TestRetryAttemptTimeout(t *testing.T) {
+	var calls int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if atomic.AddInt32(&calls, 1) == 1 {
+			time.Sleep(200 * time.Millisecond)
+		}
+		fmt.Fprint(w, `{"id":"j1","status":"queued"}`)
+	}))
+	defer ts.Close()
+
+	c := &Client{BaseURL: ts.URL, HTTPClient: &http.Client{Timeout: 50 * time.Millisecond}, Retry: fastRetry(3)}
+	if st, err := c.Get(context.Background(), "j1"); err != nil || st.ID != "j1" {
+		t.Fatalf("get after a timed-out attempt = %+v, %v", st, err)
+	}
+	if got := atomic.LoadInt32(&calls); got != 2 {
+		t.Fatalf("server saw %d calls, want 2", got)
+	}
+
+	atomic.StoreInt32(&calls, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	c.HTTPClient = nil
+	if _, err := c.Get(ctx, "j1"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("get past the caller's deadline: %v, want DeadlineExceeded", err)
+	}
+	if got := atomic.LoadInt32(&calls); got != 1 {
+		t.Fatalf("caller's deadline was retried: %d calls", got)
 	}
 }
 

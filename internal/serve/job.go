@@ -208,36 +208,22 @@ type job struct {
 	onAbandoned func()
 
 	// Tracer spans (owned by the server's tracer): span is the job's root,
-	// queueSpan covers submission to worker pickup, execSpan covers the
-	// suite execution and parents the engine's suite/run/phase spans.
-	span, queueSpan, execSpan trace.SpanID
+	// queueSpan covers submission to worker pickup.
+	span, queueSpan trace.SpanID
 
 	done chan struct{} // closed at terminal state
 }
 
-func newJob(id string, spec JobSpec, epoch string) *job {
-	j := &job{
-		id:      id,
-		spec:    spec,
-		epoch:   epoch,
-		status:  StatusQueued,
-		created: time.Now().UTC(),
-		done:    make(chan struct{}),
-	}
-	j.publishLocked(Event{Type: "state", Status: StatusQueued})
-	return j
-}
-
-// newRecoveredJob rebuilds a journaled job for re-execution after a
-// restart: same id, original submission time, recovered flag set.
-func newRecoveredJob(id string, spec JobSpec, epoch string, submitted time.Time) *job {
+// newJob builds a queued job. A recovered job keeps the id and submission
+// time the journal recorded.
+func newJob(id string, spec JobSpec, epoch string, created time.Time, recovered bool) *job {
 	j := &job{
 		id:        id,
 		spec:      spec,
 		epoch:     epoch,
-		recovered: true,
+		recovered: recovered,
 		status:    StatusQueued,
-		created:   submitted,
+		created:   created,
 		done:      make(chan struct{}),
 	}
 	j.publishLocked(Event{Type: "state", Status: StatusQueued})

@@ -258,9 +258,9 @@ func TestEventsCarryEpoch(t *testing.T) {
 // every 202 job must reach a terminal state (never accepted-then-dropped),
 // every rejection must be a clean 503 or 429.
 func TestSubmitDuringDrainHammer(t *testing.T) {
-	s := New(Config{Workers: 2, QueueCap: 8, execOverride: func(ctx context.Context, j *job, emit func(exp.ProgressEvent)) (*report.Report, exp.Stats, int, error) {
+	s := New(Config{Workers: 2, QueueCap: 8, Executor: execFunc(func(ctx context.Context, j ExecJob) (*report.Report, exp.Stats, int, error) {
 		return report.New(), exp.Stats{}, 0, nil
-	}})
+	})})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

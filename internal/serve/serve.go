@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -82,7 +83,9 @@ type Config struct {
 	// Executor, when non-nil, replaces the in-process job executor: jobs
 	// are handed to it instead of being run on a local exp.Runner. The
 	// fleet coordinator uses this seam to dispatch jobs to remote leased
-	// workers; standalone servers leave it nil and execute locally.
+	// workers; standalone servers leave it nil and execute locally. It must
+	// be set here, not after New: recovered jobs can reach the pool before
+	// New returns.
 	Executor Executor
 	// Capacity, when non-nil, reports the service's live execution
 	// capacity in slots (for a fleet: registered, non-draining workers ×
@@ -105,16 +108,7 @@ type Config struct {
 	TraceSpans int
 	// Pprof, when true, mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
-
-	// execOverride swaps the job executor (test seam). It must be set via
-	// Config — recovered jobs can reach a worker before New returns, so
-	// assigning Server.exec afterwards would race.
-	execOverride execFunc
 }
-
-// execFunc runs one job's suites and returns its report, engine stats, and
-// failed-run count.
-type execFunc func(ctx context.Context, j *job, emit func(exp.ProgressEvent)) (*report.Report, exp.Stats, int, error)
 
 // Executor is the pluggable job-execution backend behind Config.Executor.
 // Execute runs one job end to end and returns its result document, engine
@@ -133,6 +127,9 @@ type ExecJob struct {
 	Spec JobSpec
 	// Recovered marks a job replayed from the journal after a restart.
 	Recovered bool
+	// Span is the job's execute span on the server's tracer; the local
+	// executor parents the engine's suite/run/phase spans under it.
+	Span trace.SpanID
 	// Emit forwards one engine progress event to the job's SSE watchers.
 	Emit func(exp.ProgressEvent)
 	// SetWorker records which fleet worker is executing (or executed) the
@@ -179,11 +176,6 @@ type Server struct {
 	// each job's suite/run/phase spans. GET /v1/jobs/{id}/trace exports one
 	// job's subtree.
 	tracer *trace.Tracer
-
-	// exec runs one job's suites (Config.execOverride or the default
-	// implementation, which builds an exp.Runner over cfg.Cache and runs
-	// the spec's suites). Fixed before the worker pool starts.
-	exec execFunc
 }
 
 // New builds a Server and starts its worker pool.
@@ -212,20 +204,13 @@ func New(cfg Config) *Server {
 		metrics: newServerMetrics(),
 		tracer:  trace.New(cfg.TraceSpans),
 	}
-	s.exec = s.runSuites
-	if cfg.Executor != nil {
-		s.exec = func(ctx context.Context, j *job, emit func(exp.ProgressEvent)) (*report.Report, exp.Stats, int, error) {
-			return cfg.Executor.Execute(ctx, ExecJob{
-				ID:        j.id,
-				Spec:      j.spec,
-				Recovered: j.recovered,
-				Emit:      emit,
-				SetWorker: j.setWorker,
-			})
-		}
-	}
-	if cfg.execOverride != nil {
-		s.exec = cfg.execOverride
+	if cfg.Executor == nil {
+		s.cfg.Executor = localExecutor{ExecOptions{
+			Cache:      cfg.Cache,
+			SimWorkers: cfg.SimWorkers,
+			RunTimeout: cfg.RunTimeout,
+			Trace:      s.tracer,
+		}}
 	}
 	s.metrics.attachStores(cfg.Cache, cfg.Journal)
 	s.recover(cfg.Recovered)
@@ -269,9 +254,10 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // recover re-queues journaled jobs (called from New, before the worker
-// pool starts). Ordering is preserved: Config.Recovered arrives oldest
-// first from journal.Open, and the queue channel was sized to hold all of
-// them, so fresh submissions line up behind the backlog.
+// pool starts and before any request, so s.mu is not needed). Ordering is
+// preserved: Config.Recovered arrives oldest first from journal.Open, and
+// the queue channel was sized to hold all of them, so fresh submissions
+// line up behind the backlog.
 func (s *Server) recover(states []journal.State) {
 	for _, st := range states {
 		var spec JobSpec
@@ -288,24 +274,34 @@ func (s *Server) recover(states []journal.State) {
 			s.journalAppend(journal.OpFailed, nil, "journaled spec no longer valid: "+err.Error(), st.Job)
 			continue
 		}
-		j := newRecoveredJob(st.Job, spec, s.epoch, st.Submitted)
-		j.span = s.tracer.Begin(trace.NoSpan, "job:"+j.id)
-		s.tracer.Annotate(j.span, "suite", spec.Suite)
-		s.tracer.Annotate(j.span, "recovered", "true")
-		j.queueSpan = s.tracer.Begin(j.span, "queue-wait")
-		j.onAbandoned = func() {
-			if j.requestCancel() {
-				s.logf("job %s: canceled (last watcher disconnected)", j.id)
-			}
-		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		s.queued++
-		s.queue <- j
+		s.enqueueLocked(newJob(st.Job, spec, s.epoch, st.Submitted, true))
 		s.metrics.recovered()
-		s.logf("job %s: recovered from journal (suite %s, was %s)", j.id, spec.Suite, st.Op)
+		s.logf("job %s: recovered from journal (suite %s, was %s)", st.Job, spec.Suite, st.Op)
 	}
 	s.metrics.setQueue(s.queued, 0)
+}
+
+// enqueueLocked opens a new job's trace spans, makes it visible and hands
+// it to the worker pool. The send cannot block: the channel was sized for
+// QueueCap fresh jobs plus the recovered backlog, and handleSubmit admits
+// only while queued is below QueueCap. Caller holds s.mu, or is recover.
+func (s *Server) enqueueLocked(j *job) {
+	j.span = s.tracer.Begin(trace.NoSpan, "job:"+j.id)
+	s.tracer.Annotate(j.span, "suite", j.spec.Suite)
+	if j.recovered {
+		s.tracer.Annotate(j.span, "recovered", "true")
+	}
+	j.queueSpan = s.tracer.Begin(j.span, "queue-wait")
+	// Armed before the job becomes visible to workers and subscribers.
+	j.onAbandoned = func() {
+		if j.requestCancel() {
+			s.logf("job %s: canceled (last watcher disconnected)", j.id)
+		}
+	}
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	s.queued++
+	s.queue <- j
 }
 
 // journalAppend records a lifecycle transition, logging rather than
@@ -387,9 +383,16 @@ func (s *Server) process(j *job) {
 	s.logf("job %s: running (suite %s)", j.id, j.spec.Suite)
 
 	started := time.Now()
-	j.execSpan = s.tracer.Begin(j.span, "execute")
-	rep, stats, failedRuns, err := s.exec(ctx, j, j.progress)
-	s.tracer.End(j.execSpan)
+	execSpan := s.tracer.Begin(j.span, "execute")
+	rep, stats, failedRuns, err := s.cfg.Executor.Execute(ctx, ExecJob{
+		ID:        j.id,
+		Spec:      j.spec,
+		Recovered: j.recovered,
+		Span:      execSpan,
+		Emit:      j.progress,
+		SetWorker: j.setWorker,
+	})
+	s.tracer.End(execSpan)
 
 	status := StatusDone
 	errMsg := ""
@@ -431,16 +434,15 @@ func (j *job) canceled() bool {
 	return j.cancelASAP
 }
 
-// runSuites is the production job executor: one engine per job (per-job
-// progress attribution and stats), the shared persistent cache underneath.
-func (s *Server) runSuites(ctx context.Context, j *job, emit func(exp.ProgressEvent)) (*report.Report, exp.Stats, int, error) {
-	return ExecuteSpec(ctx, j.spec, ExecOptions{
-		Cache:      s.cfg.Cache,
-		SimWorkers: s.cfg.SimWorkers,
-		RunTimeout: s.cfg.RunTimeout,
-		Trace:      s.tracer,
-		TraceRoot:  j.execSpan,
-	}, emit)
+// localExecutor is the standalone server's Executor: one engine per job
+// (per-job progress attribution and stats), the shared persistent cache
+// underneath, the engine's spans under the job's execute span.
+type localExecutor struct{ opts ExecOptions }
+
+func (e localExecutor) Execute(ctx context.Context, job ExecJob) (*report.Report, exp.Stats, int, error) {
+	o := e.opts
+	o.TraceRoot = job.Span
+	return ExecuteSpec(ctx, job.Spec, o, job.Emit)
 }
 
 // ExecOptions parameterizes ExecuteSpec: the persistent cache tier, the
@@ -680,17 +682,36 @@ func (s *Server) cancelAll() {
 
 // ---- handlers ----
 
-// apiError is the JSON error body.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as an indented JSON reply with status code: the one
+// responder behind every JSON endpoint of the tier, the fleet's included.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// WriteError writes the {"error": msg} body every API error carries.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, struct {
+		Error string `json:"error"`
+	}{msg})
+}
+
+// maxBody bounds a JSON request body. The largest are fleet result
+// documents, JSON in the tens of KB; 64 MiB is a ceiling, not a working
+// size.
+const maxBody = 64 << 20
+
+// ReadJSON decodes r's body into v. When the body is not one, it answers
+// 400 "bad <what>: <reason>" and returns false.
+func ReadJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxBody)).Decode(v); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad "+what+": "+err.Error())
+		return false
+	}
+	return true
 }
 
 // clientID identifies the submitting client for quota accounting: the
@@ -717,17 +738,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 			s.metrics.throttled()
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeJSON(w, http.StatusTooManyRequests, apiError{Error: "client quota exceeded"})
+			WriteError(w, http.StatusTooManyRequests, "client quota exceeded")
 			return
 		}
 	}
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad job spec: " + err.Error()})
+	if !ReadJSON(w, r, "job spec", &spec) {
 		return
 	}
 	if err := spec.validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -744,7 +764,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		ra := s.retryAfterLocked(true)
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", ra)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server is draining"})
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	if s.queued >= s.cfg.QueueCap {
@@ -752,7 +772,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.metrics.rejected()
 		w.Header().Set("Retry-After", ra)
-		writeJSON(w, http.StatusTooManyRequests, apiError{Error: "job queue is full"})
+		WriteError(w, http.StatusTooManyRequests, "job queue is full")
 		return
 	}
 	id := newJobID()
@@ -771,33 +791,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			s.mu.Unlock()
 			s.logf("job %s: journal submit: %v", id, err)
-			writeJSON(w, http.StatusInternalServerError, apiError{Error: "journal write failed: " + err.Error()})
+			WriteError(w, http.StatusInternalServerError, "journal write failed: "+err.Error())
 			return
 		}
 	}
-	j := newJob(id, spec, s.epoch)
-	j.span = s.tracer.Begin(trace.NoSpan, "job:"+id)
-	s.tracer.Annotate(j.span, "suite", spec.Suite)
-	j.queueSpan = s.tracer.Begin(j.span, "queue-wait")
-	// Arm before the job becomes visible to workers/subscribers.
-	j.onAbandoned = func() {
-		if j.requestCancel() {
-			s.logf("job %s: canceled (last watcher disconnected)", j.id)
-		}
-	}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.queued++
-	// Cannot block: only this critical section sends, the channel was
-	// sized for QueueCap fresh jobs plus the recovered backlog, and
-	// admission above kept queued below QueueCap.
-	s.queue <- j
+	j := newJob(id, spec, s.epoch, time.Now().UTC(), false)
+	s.enqueueLocked(j)
 	s.mu.Unlock()
 	s.metrics.submitted()
 	s.metrics.setQueue(s.counts())
 	s.logf("job %s: queued (suite %s)", id, spec.Suite)
 	w.Header().Set("Location", "/v1/jobs/"+id)
-	writeJSON(w, http.StatusAccepted, j.snapshot(false))
+	WriteJSON(w, http.StatusAccepted, j.snapshot(false))
 }
 
 func (s *Server) lookup(r *http.Request) (*job, bool) {
@@ -819,22 +824,22 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		out = append(out, j.snapshot(false))
 	}
 	sort.SliceStable(out, func(i, k int) bool { return out[i].Created.After(out[k].Created) })
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.snapshot(true))
+	WriteJSON(w, http.StatusOK, j.snapshot(true))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	if j.requestCancel() {
@@ -848,7 +853,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		}
 		s.logf("job %s: cancel requested", j.id)
 	}
-	writeJSON(w, http.StatusOK, j.snapshot(false))
+	WriteJSON(w, http.StatusOK, j.snapshot(false))
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -856,7 +861,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"draining": draining,
 		"queued":   queued,
@@ -870,12 +875,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	if j.span == trace.NoSpan {
 		// Span ring was full at submission; there is nothing to export.
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no trace recorded for job (span ring full)"})
+		WriteError(w, http.StatusNotFound, "no trace recorded for job (span ring full)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

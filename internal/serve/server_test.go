@@ -21,7 +21,14 @@ import (
 	"conspec/internal/exp/report"
 )
 
-// fakeExec swaps the production suite executor for a controllable one.
+// execFunc adapts a function to Executor.
+type execFunc func(ctx context.Context, job ExecJob) (*report.Report, exp.Stats, int, error)
+
+func (f execFunc) Execute(ctx context.Context, job ExecJob) (*report.Report, exp.Stats, int, error) {
+	return f(ctx, job)
+}
+
+// fakeExec is an Executor standing in for the local one, controllable.
 type fakeExec struct {
 	mu      sync.Mutex
 	started chan string   // receives job ids as they begin executing
@@ -39,7 +46,7 @@ func newFakeExec() *fakeExec {
 	}
 }
 
-func (f *fakeExec) run(ctx context.Context, j *job, emit func(exp.ProgressEvent)) (*report.Report, exp.Stats, int, error) {
+func (f *fakeExec) Execute(ctx context.Context, j ExecJob) (*report.Report, exp.Stats, int, error) {
 	n := atomic.AddInt32(&f.running, 1)
 	defer atomic.AddInt32(&f.running, -1)
 	for {
@@ -48,8 +55,8 @@ func (f *fakeExec) run(ctx context.Context, j *job, emit func(exp.ProgressEvent)
 			break
 		}
 	}
-	f.started <- j.id
-	emit(exp.ProgressEvent{Suite: exp.SuiteID(j.spec.Suite), Benchmark: "fake", Mechanism: "fake", Phase: exp.PhaseRunStart})
+	f.started <- j.ID
+	j.Emit(exp.ProgressEvent{Suite: exp.SuiteID(j.Spec.Suite), Benchmark: "fake", Mechanism: "fake", Phase: exp.PhaseRunStart})
 	select {
 	case <-f.release:
 	case <-ctx.Done():
@@ -58,7 +65,7 @@ func (f *fakeExec) run(ctx context.Context, j *job, emit func(exp.ProgressEvent)
 	if f.err != nil {
 		return nil, exp.Stats{}, 0, f.err
 	}
-	emit(exp.ProgressEvent{Suite: exp.SuiteID(j.spec.Suite), Benchmark: "fake", Mechanism: "fake", Phase: exp.PhaseRunDone})
+	j.Emit(exp.ProgressEvent{Suite: exp.SuiteID(j.Spec.Suite), Benchmark: "fake", Mechanism: "fake", Phase: exp.PhaseRunDone})
 	return report.New(), f.stats, 0, nil
 }
 
@@ -72,9 +79,7 @@ func (f *fakeExec) releaseAll(n int) {
 func newTestServer(t *testing.T, cfg Config, fake *fakeExec) (*Server, *httptest.Server) {
 	t.Helper()
 	if fake != nil {
-		// Via Config, not assigned after New: recovered jobs reach a worker
-		// (which reads s.exec) before New returns.
-		cfg.execOverride = fake.run
+		cfg.Executor = fake
 	}
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -257,13 +262,13 @@ func TestSSEStalledWatcherGetsEveryEvent(t *testing.T) {
 	const n = 1 << 14 // about 4 MB of frames, more than the socket buffers hold
 	attached := make(chan struct{})
 	cfg := Config{Workers: 1}
-	cfg.execOverride = func(ctx context.Context, j *job, emit func(exp.ProgressEvent)) (*report.Report, exp.Stats, int, error) {
+	cfg.Executor = execFunc(func(ctx context.Context, j ExecJob) (*report.Report, exp.Stats, int, error) {
 		<-attached
 		for i := 0; i < n; i++ {
-			emit(exp.ProgressEvent{Suite: exp.SuiteID(j.spec.Suite), Benchmark: "fake", Mechanism: "fake", Phase: exp.PhaseRunStart})
+			j.Emit(exp.ProgressEvent{Suite: exp.SuiteID(j.Spec.Suite), Benchmark: "fake", Mechanism: "fake", Phase: exp.PhaseRunStart})
 		}
 		return report.New(), exp.Stats{}, 0, nil
-	}
+	})
 	s, ts := newTestServer(t, cfg, nil)
 	st := submit(t, ts.URL, JobSpec{Suite: "lru"})
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")

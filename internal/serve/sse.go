@@ -24,12 +24,12 @@ const defaultSSEKeepalive = 15 * time.Second
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: "streaming unsupported"})
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
