@@ -13,7 +13,8 @@
 #                         trace smoke (flight-recorder dump on the deadlock
 #                         reproducer + span-traced suite), the fleet smoke
 #                         (coordinator + 3 leased workers beat standalone,
-#                         survive kill -9 with zero lost results), and the
+#                         survive kill -9 with zero lost results, answer a
+#                         warm resubmission from the store), and the
 #                         defense smoke matrix (every registered backend vs
 #                         the Spectre V1 PoC).
 #   make chaos          — the robustness gate on its own: every fault class
@@ -26,6 +27,10 @@
 #                         and FAIL (exit 1) if BenchmarkFig5 or any
 #                         BenchmarkSecMatrix* regressed ns/op by more than
 #                         5% — the perf gate for perf-sensitive PRs.
+#   make bench-pairs PARENT=<rev> WORKLOAD=<w> SEEDS="1 … 10"
+#                       — run perfbench on the parent and the working tree
+#                         in alternating pairs and print the medians, IQRs,
+#                         changes and "better in N/M" per metric.
 
 GO ?= go
 
@@ -35,7 +40,7 @@ GO ?= go
 # per-component microbenches.
 TRACKED_BENCHES = ^(BenchmarkFig5|BenchmarkSimSetup|BenchmarkSimulatorThroughput|BenchmarkSecMatrixDispatch|BenchmarkSecMatrixHazardCheck|BenchmarkTPBufQuery|BenchmarkCacheAccess)$$
 
-.PHONY: all build fmt vet perfbench-vet perfbench-test lint lint-defense test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix tier1 bench bench-snapshot bench-compare
+.PHONY: all build fmt vet perfbench-vet perfbench-test lint lint-defense test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix tier1 bench bench-snapshot bench-compare bench-pairs
 
 all: tier1
 
@@ -134,8 +139,10 @@ trace-smoke:
 # a result document identical to the standalone server's; then kill -9 a
 # worker mid-lease and assert the job is re-queued to a survivor and
 # completes with every pre-kill simulation reused from the coordinator's
-# result store (zero lost results, verified via /metrics); then drain a
-# worker through conspec-ctl.
+# result store (zero lost results, verified via /metrics); then resubmit
+# that job and assert the coordinator answers it from its store without a
+# lease, with an identical result document; then drain a worker through
+# conspec-ctl.
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
@@ -158,3 +165,11 @@ bench-compare:
 	@set -- $$(ls -1t BENCH_*.json | head -2); \
 	if [ $$# -lt 2 ]; then echo "need two BENCH_*.json snapshots"; exit 1; fi; \
 	$(GO) run ./cmd/conspec-benchstat -compare -fail-on-regress 5 "$$2" "$$1"
+
+# Paired end-to-end benchmark runs against a parent revision (see
+# scripts/benchpairs.sh); each run's length is BENCHMARK.json's run_seconds.
+SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+bench-pairs:
+	@if [ -z "$(PARENT)" ] || [ -z "$(WORKLOAD)" ]; then \
+	    echo 'usage: make bench-pairs PARENT=<rev> WORKLOAD=<workload> [SEEDS="1 2 3"]'; exit 2; fi
+	sh scripts/benchpairs.sh "$(PARENT)" "$(WORKLOAD)" "$(SEEDS)"

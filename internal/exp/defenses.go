@@ -82,7 +82,11 @@ func resolveDefenses(names []string) ([]core.Defense, error) {
 // cache — the paper variants share keys with fig5, invisispec with the
 // compare suite — while attack runs bypass it like table4's. The verdicts
 // run next to the overhead runs, each holding a worker slot (v1Verdict).
+// A store-only Runner refuses the suite: the verdicts are never stored.
 func (r *Runner) Defenses(ctx context.Context, spec RunSpec, names []string, defNames []string, attackCfg config.Core) (*DefensesResult, error) {
+	if r.storeOnly {
+		return nil, ErrNotStored
+	}
 	defs, err := resolveDefenses(defNames)
 	if err != nil {
 		return nil, err

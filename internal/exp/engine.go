@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"conspec/internal/attack"
@@ -154,7 +155,17 @@ type RunnerOptions struct {
 	// TraceRoot, when non-zero, parents every suite span (e.g. an enclosing
 	// request or job span owned by the caller).
 	TraceRoot trace.SpanID
+	// StoreOnly makes the Runner answer from the memo map and Cache alone:
+	// it never simulates. The first run that misses both tiers fails with
+	// ErrNotStored, and so does every run submitted after it; RunSuite then
+	// returns ErrNotStored. Work that bypasses the memo (table4's attacks,
+	// the defenses suite's V1 verdicts) is refused with ErrNotStored too.
+	StoreOnly bool
 }
+
+// ErrNotStored is a store-only Runner's answer to work it could only do by
+// simulating (RunnerOptions.StoreOnly).
+var ErrNotStored = errors.New("exp: run not in the result store")
 
 // RunError records one failed run: a simulation that deadlocked, failed a
 // self-check audit, exceeded its cycle cap or wall-clock timeout, or
@@ -186,7 +197,12 @@ type Runner struct {
 	store     ResultCache
 	trace     *trace.Tracer
 	traceRoot trace.SpanID
+	storeOnly bool
 	sem       chan struct{}
+
+	// missed is set by a store-only Runner's first miss; from then on no
+	// run is looked up and RunSuite returns ErrNotStored.
+	missed atomic.Bool
 
 	evMu sync.Mutex // serializes onEvent
 
@@ -220,6 +236,7 @@ func NewRunner(opts RunnerOptions) *Runner {
 		store:      opts.Cache,
 		trace:      opts.Trace,
 		traceRoot:  opts.TraceRoot,
+		storeOnly:  opts.StoreOnly,
 		sem:        make(chan struct{}, workers),
 		cache:      make(map[runKey]*cacheEntry),
 		suiteSpans: make(map[SuiteID]trace.SpanID),
@@ -354,7 +371,7 @@ func (r *Runner) runAll(ctx context.Context, suite SuiteID, reqs []runReq) ([]pi
 	entries := make([]*cacheEntry, len(reqs))
 	var wg sync.WaitGroup
 	for i, q := range reqs {
-		if err := ctx.Err(); err != nil {
+		if err := r.stopped(ctx); err != nil {
 			errs[i] = err
 			continue
 		}
@@ -383,12 +400,22 @@ func (r *Runner) runAll(ctx context.Context, suite SuiteID, reqs []runReq) ([]pi
 	return res, errs
 }
 
+// stopped reports why runAll must submit no further run: ctx ended, or a
+// store-only Runner has already missed.
+func (r *Runner) stopped(ctx context.Context) error {
+	if r.missed.Load() {
+		return ErrNotStored
+	}
+	return ctx.Err()
+}
+
 // lookup resolves one run against the memo map and, on a miss, the
 // persistent store. The store is read outside r.mu — duplicates wait on
 // the entry as usual — and a hit fills the entry so later submissions are
 // memory hits. It returns the run's entry and whether the caller owns it:
 // an owned entry missed both tiers and the caller must fill it; any other
-// entry is done or being filled by its owner.
+// entry is done or being filled by its owner. A store-only Runner owns no
+// entry: a miss leaves the memo map and ends with ErrNotStored.
 func (r *Runner) lookup(suite SuiteID, p workload.Profile, spec RunSpec) (*cacheEntry, bool) {
 	key := keyOf(p, spec)
 	r.mu.Lock()
@@ -411,6 +438,15 @@ func (r *Runner) lookup(suite SuiteID, p workload.Profile, spec RunSpec) (*cache
 			close(e.done)
 			return e, false
 		}
+	}
+	if r.storeOnly {
+		r.missed.Store(true)
+		r.mu.Lock()
+		delete(r.cache, key)
+		r.mu.Unlock()
+		e.err = ErrNotStored
+		close(e.done)
+		return e, false
 	}
 	return e, true
 }
@@ -771,6 +807,11 @@ func (r *Runner) RunSuite(ctx context.Context, id SuiteID, opts Options) (*Suite
 		out.defenses, err = r.Defenses(ctx, opts.spec(), opts.Benches, opts.Defenses, opts.attackCore())
 	default:
 		return nil, fmt.Errorf("exp: unknown suite %q", id)
+	}
+	if err == nil && r.missed.Load() {
+		// The suites leave a failed run out of their aggregates; a run
+		// a store-only Runner could not answer fails the whole suite.
+		err = ErrNotStored
 	}
 	if err != nil {
 		return out, err

@@ -264,10 +264,14 @@ func ICacheText(r *ICacheResult) string {
 }
 
 // Table4 regenerates Table IV by running every attack scenario under every
-// mechanism. Attack runs are not RunSpec-shaped and bypass the memo cache,
-// but they honor cancellation: on ctx expiry the outcomes completed so far
-// are returned alongside ctx.Err().
+// mechanism. Attack runs are not RunSpec-shaped and bypass the memo cache
+// (so a store-only Runner refuses the suite), but they honor cancellation:
+// on ctx expiry the outcomes completed so far are returned alongside
+// ctx.Err().
 func (r *Runner) Table4(ctx context.Context, cfg config.Core) ([]attack.Outcome, error) {
+	if r.storeOnly {
+		return nil, ErrNotStored
+	}
 	var out []attack.Outcome
 	for _, h := range attack.Scenarios(cfg) {
 		for _, m := range core.Mechanisms {

@@ -188,7 +188,7 @@ type WorkerInfo struct {
 	// Active is how many leases the worker holds right now.
 	Active int `json:"active"`
 	// Done/Failed count leases the worker completed/failed since it
-	// registered.
+	// registered; a canceled lease counts in neither.
 	Done   uint64 `json:"done"`
 	Failed uint64 `json:"failed"`
 	// Draining: the worker finishes its active leases but gets no new ones.

@@ -31,8 +31,9 @@ type CoordinatorOptions struct {
 	// running binary's buildinfo identity.
 	Identity string
 	// Store is the coordinator's persistent result store, served to
-	// workers via GET/PUT /fleet/v1/results/{key}. May be nil (workers
-	// then only have their local caches; kill -9 durability is lost).
+	// workers via GET/PUT /fleet/v1/results/{key}; a job whose runs it
+	// holds is answered from it without a lease. May be nil (workers then
+	// only have their local caches; kill -9 durability is lost).
 	Store ResultStore
 	// Journal, when non-nil, receives OpLeased/OpRequeued records so lease
 	// state survives a coordinator crash (the serve layer already journals
@@ -70,6 +71,7 @@ type Coordinator struct {
 	wake    chan struct{}     // closed+replaced when pending grows
 
 	// counters (under mu)
+	resolved    uint64
 	coalesced   uint64
 	requeued    uint64
 	workersLost uint64
@@ -228,10 +230,14 @@ func (c *Coordinator) Capacity() int {
 
 // ---- serve.Executor ----
 
-// Execute implements serve.Executor: it queues the job for lease (or
-// attaches it to an identical in-flight lease) and blocks until a worker
-// publishes the result or ctx is canceled.
+// Execute implements serve.Executor: it answers the job from the result
+// store when every run is there (resolve); otherwise it queues the job for
+// lease (or attaches it to an identical in-flight lease) and blocks until
+// a worker publishes the result or ctx is canceled.
 func (c *Coordinator) Execute(ctx context.Context, job serve.ExecJob) (*report.Report, exp.Stats, int, error) {
+	if rep, stats, failed, err := c.resolve(ctx, job); !errors.Is(err, exp.ErrNotStored) {
+		return rep, stats, failed, err
+	}
 	l, att, holder := c.acquire(job)
 	if holder != "" && job.SetWorker != nil {
 		job.SetWorker(holder) // attached to a lease already executing
@@ -258,6 +264,36 @@ func (c *Coordinator) Execute(ctx context.Context, job serve.ExecJob) (*report.R
 		}
 		return nil, res.stats, res.failedRuns, errors.New(msg)
 	}
+}
+
+// resolve answers a job from the coordinator's store without a lease. It
+// runs serve.ExecuteSpec, the path a worker runs, on a store-only Runner,
+// so the document is the one a worker would post. The Runner never
+// simulates: the first run the store lacks, and any suite that works
+// outside the memo (table4, defenses), ends the attempt with
+// exp.ErrNotStored. The attempt's progress is then dropped and the job is
+// leased; a resolved job forwards it and names no worker.
+func (c *Coordinator) resolve(ctx context.Context, job serve.ExecJob) (*report.Report, exp.Stats, int, error) {
+	if c.opts.Store == nil {
+		return nil, exp.Stats{}, 0, exp.ErrNotStored
+	}
+	var events []exp.ProgressEvent // the Runner serializes emits
+	rep, stats, failed, err := serve.ExecuteSpec(ctx, job.Spec,
+		serve.ExecOptions{Cache: c.opts.Store, StoreOnly: true},
+		func(ev exp.ProgressEvent) { events = append(events, ev) })
+	if err != nil {
+		return nil, stats, failed, err
+	}
+	if job.Emit != nil {
+		for _, ev := range events {
+			job.Emit(ev)
+		}
+	}
+	c.mu.Lock()
+	c.resolved++
+	c.mu.Unlock()
+	c.logf("fleet: job %s resolved from the result store (%d runs)", job.ID, stats.Submitted())
+	return rep, stats, failed, nil
 }
 
 // acquire creates a pending lease for the job, or attaches it to a live
@@ -672,11 +708,12 @@ func (c *Coordinator) finishLease(leaseID string, post ResultPost) (ResultReply,
 		return ResultReply{Accepted: true}, nil
 	}
 	if w != nil {
-		if post.Status == ResultFailed {
-			w.failed++
-		} else {
+		switch post.Status {
+		case ResultDone:
 			w.done++
-		}
+		case ResultFailed:
+			w.failed++
+		} // a canceled lease was neither completed nor failed
 	}
 	c.finishLocked(l, leaseResult{
 		worker:     post.Worker,
@@ -880,6 +917,7 @@ func (c *Coordinator) writeMetrics(w io.Writer) {
 	var (
 		workers, draining, capacity, pendingN, active int
 		lost                                          = c.workersLost
+		resolved                                      = c.resolved
 		coalesced                                     = c.coalesced
 		requeued                                      = c.requeued
 		gets, hits, puts                              = c.resultGets, c.resultHits, c.resultPuts
@@ -915,6 +953,7 @@ func (c *Coordinator) writeMetrics(w io.Writer) {
 	gauge("fleet_leases_pending", uint64(pendingN))
 	gauge("fleet_leases_active", uint64(active))
 	counter("fleet_workers_lost_total", lost)
+	counter("fleet_jobs_resolved_total", resolved)
 	counter("fleet_leases_coalesced_total", coalesced)
 	counter("fleet_leases_requeued_total", requeued)
 	counter("fleet_result_gets_total", gets)

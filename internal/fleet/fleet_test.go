@@ -696,3 +696,234 @@ func TestDrainedWorkerPollsWait(t *testing.T) {
 		t.Fatalf("drained worker sent %d lease polls in 1s, want at most 12 (one per slot per poll window)", n)
 	}
 }
+
+// TestCanceledLeaseCountsNeitherDoneNorFailed: a leased job whose client
+// cancels ends with the worker posting canceled; the worker's row must
+// count that lease as neither completed nor failed.
+func TestCanceledLeaseCountsNeitherDoneNorFailed(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorOptions{})
+	w1 := mustRegister(t, c, "w1", 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	out := startExec(c, ctx, serve.ExecJob{ID: "job-1", Spec: serve.JobSpec{Suite: "defenses"}})
+	g := waitGrant(t, c, w1)
+	cancel()
+	if res := <-out; !errors.Is(res.err, context.Canceled) {
+		t.Fatalf("Execute err = %v, want context.Canceled", res.err)
+	}
+	reply, err := c.finishLease(g.Lease, ResultPost{Worker: w1, Gen: g.Gen, Status: ResultCanceled})
+	if err != nil || !reply.Accepted {
+		t.Fatalf("canceled result: accepted=%v err=%v", reply.Accepted, err)
+	}
+	infos := c.workerInfos()
+	if len(infos) != 1 || infos[0].Done != 0 || infos[0].Failed != 0 || infos[0].Active != 0 {
+		t.Fatalf("workers = %+v, want w1 with done 0, failed 0, active 0", infos)
+	}
+}
+
+// tinyLRU is a real job small enough to simulate in a test: four runs.
+var tinyLRU = serve.JobSpec{Suite: "lru", Benches: []string{"astar"}, Warmup: 2000, Measure: 8000}
+
+// startRealWorker runs a Worker on the real execution path
+// (serve.ExecuteSpec over the coordinator's store, no local tier) against
+// c over HTTP until the test ends.
+func startRealWorker(t *testing.T, c *Coordinator) {
+	t.Helper()
+	srv := httptest.NewServer(c.Handler(http.NotFoundHandler()))
+	w := NewWorker(WorkerOptions{
+		Coordinator: srv.URL, Name: "w1", Identity: c.opts.Identity, Slots: 1,
+		ProgressFlush: 10 * time.Millisecond,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+		srv.Close()
+	})
+}
+
+// tracedJob is an ExecJob that records its progress events and any worker
+// assignment.
+type tracedJob struct {
+	mu     sync.Mutex
+	events []exp.ProgressEvent
+	worker string
+}
+
+func (tj *tracedJob) job(id string, spec serve.JobSpec) serve.ExecJob {
+	return serve.ExecJob{
+		ID: id, Spec: spec,
+		Emit: func(ev exp.ProgressEvent) {
+			tj.mu.Lock()
+			tj.events = append(tj.events, ev)
+			tj.mu.Unlock()
+		},
+		SetWorker: func(w string) {
+			tj.mu.Lock()
+			tj.worker = w
+			tj.mu.Unlock()
+		},
+	}
+}
+
+// execute runs one job through c.Execute to completion.
+func execute(t *testing.T, c *Coordinator, job serve.ExecJob) execOutcome {
+	t.Helper()
+	select {
+	case res := <-startExec(c, context.Background(), job):
+		if res.err != nil {
+			t.Fatalf("job %s: %v", job.ID, res.err)
+		}
+		return res
+	case <-time.After(60 * time.Second):
+		t.Fatalf("job %s did not finish", job.ID)
+		return execOutcome{}
+	}
+}
+
+// leasesDone sums the completed leases over the registered workers.
+func leasesDone(c *Coordinator) uint64 {
+	var n uint64
+	for _, w := range c.workerInfos() {
+		n += w.Done
+	}
+	return n
+}
+
+// strippedJSON is the job document without its engine counters, which
+// differ between a leased and a resolved answer by design.
+func strippedJSON(t *testing.T, rep *report.Report) string {
+	t.Helper()
+	doc := *rep
+	doc.Engine = nil
+	b, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatalf("marshal report: %v", err)
+	}
+	return string(b)
+}
+
+// TestWarmJobResolvedWithoutLease: the identical resubmission of a job a
+// worker executed is answered from the coordinator's store. It gets no
+// grant, names no worker, replays its progress, and its document equals
+// the leased one.
+func TestWarmJobResolvedWithoutLease(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorOptions{Store: newMapStore()})
+	startRealWorker(t, c)
+
+	cold := execute(t, c, serve.ExecJob{ID: "cold", Spec: tinyLRU})
+	if cold.stats.Executed != 4 || leasesDone(c) != 1 {
+		t.Fatalf("cold job: stats %+v, leases done %d; want 4 executed on 1 lease", cold.stats, leasesDone(c))
+	}
+
+	var tj tracedJob
+	warm := execute(t, c, tj.job("warm", tinyLRU))
+	if n := leasesDone(c); n != 1 {
+		t.Fatalf("leases done = %d after the resubmission, want 1 (no grant)", n)
+	}
+	if warm.stats.Executed != 0 || warm.stats.DiskHits != warm.stats.Submitted() || warm.stats.DiskHits != 4 {
+		t.Fatalf("warm stats = %+v, want 4 disk hits and nothing executed", warm.stats)
+	}
+	if got, want := strippedJSON(t, warm.rep), strippedJSON(t, cold.rep); got != want {
+		t.Fatalf("resolved document differs from the leased one:\n got %s\nwant %s", got, want)
+	}
+	tj.mu.Lock()
+	worker, events := tj.worker, tj.events
+	tj.mu.Unlock()
+	if worker != "" {
+		t.Fatalf("resolved job named worker %q, want none", worker)
+	}
+	cached := 0
+	for _, ev := range events {
+		if ev.Phase == exp.PhaseCached && ev.Tier == exp.TierDisk {
+			cached++
+		}
+	}
+	if cached != 4 {
+		t.Fatalf("forwarded %d disk-tier cached events (of %d), want 4", cached, len(events))
+	}
+	var metrics strings.Builder
+	c.writeMetrics(&metrics)
+	if !strings.Contains(metrics.String(), "conspec_served_fleet_jobs_resolved_total 1\n") {
+		t.Fatalf("metrics missing the resolved counter:\n%s", metrics.String())
+	}
+
+	// Concurrent resubmissions resolve side by side, still without a grant.
+	outs := make([]chan execOutcome, 3)
+	for i := range outs {
+		outs[i] = startExec(c, context.Background(), serve.ExecJob{ID: "warm-" + string(rune('a'+i)), Spec: tinyLRU})
+	}
+	for _, out := range outs {
+		if res := <-out; res.err != nil || res.stats.Executed != 0 {
+			t.Fatalf("concurrent resubmission: stats %+v, err %v", res.stats, res.err)
+		}
+	}
+	c.mu.Lock()
+	resolved := c.resolved
+	c.mu.Unlock()
+	if resolved != 4 || leasesDone(c) != 1 {
+		t.Fatalf("resolved = %d, leases done = %d; want 4 resolved on the one cold lease", resolved, leasesDone(c))
+	}
+}
+
+// TestPartlyStoredJobLeased: with one of its runs missing from the store,
+// a resubmitted job is leased, and the worker executes exactly that run.
+func TestPartlyStoredJobLeased(t *testing.T) {
+	store := newMapStore()
+	c := newTestCoordinator(t, CoordinatorOptions{Store: store})
+	startRealWorker(t, c)
+
+	execute(t, c, serve.ExecJob{ID: "cold", Spec: tinyLRU})
+	store.mu.Lock()
+	for key := range store.m {
+		delete(store.m, key)
+		break
+	}
+	store.mu.Unlock()
+
+	var tj tracedJob
+	res := execute(t, c, tj.job("partial", tinyLRU))
+	if n := leasesDone(c); n != 2 {
+		t.Fatalf("leases done = %d, want 2 (the resubmission was leased)", n)
+	}
+	if res.stats.Executed != 1 || res.stats.DiskHits != 3 {
+		t.Fatalf("leased stats = %+v, want exactly the missing run executed", res.stats)
+	}
+	tj.mu.Lock()
+	worker := tj.worker
+	tj.mu.Unlock()
+	if worker != "w1" {
+		t.Fatalf("leased job names worker %q, want w1", worker)
+	}
+	c.mu.Lock()
+	resolved := c.resolved
+	c.mu.Unlock()
+	if resolved != 0 {
+		t.Fatalf("resolved = %d, want 0", resolved)
+	}
+}
+
+// TestDefensesJobAlwaysLeased: the defenses suite's V1 verdicts are never
+// stored, so even a resubmission whose overhead runs are all stored is
+// leased; the coordinator never simulates.
+func TestDefensesJobAlwaysLeased(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorOptions{Store: newMapStore()})
+	startRealWorker(t, c)
+
+	spec := serve.JobSpec{Suite: "defenses", Benches: []string{"astar"}, Defenses: []string{"origin"}, Warmup: 2000, Measure: 8000}
+	execute(t, c, serve.ExecJob{ID: "cold", Spec: spec})
+	res := execute(t, c, serve.ExecJob{ID: "again", Spec: spec})
+	if n := leasesDone(c); n != 2 {
+		t.Fatalf("leases done = %d, want 2 (defenses jobs are always leased)", n)
+	}
+	if res.stats.Executed != 0 {
+		t.Fatalf("resubmission stats = %+v, want its overhead runs from the store", res.stats)
+	}
+	c.mu.Lock()
+	resolved := c.resolved
+	c.mu.Unlock()
+	if resolved != 0 {
+		t.Fatalf("resolved = %d, want 0", resolved)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"conspec/internal/exp"
 	"conspec/internal/exp/report"
+	"conspec/internal/pipeline"
 )
 
 // fakeLimiter denies every client after the first n submissions.
@@ -146,5 +148,29 @@ func TestExecutorSeamCarriesWorker(t *testing.T) {
 	}
 	if len(list) != 1 || list[0].Worker != "w-test" {
 		t.Fatalf("list = %+v, want one job on w-test", list)
+	}
+}
+
+// readFailCache fails the test on any store access.
+type readFailCache struct{ t *testing.T }
+
+func (c readFailCache) Get(key string) (pipeline.Result, bool) {
+	c.t.Errorf("store read %s", key)
+	return pipeline.Result{}, false
+}
+
+func (c readFailCache) Put(key string, _ pipeline.Result) { c.t.Errorf("store write %s", key) }
+
+// TestStoreOnlyRefusesUnstoredSuitesUpFront: a store-only spec containing
+// table4 or defenses, whose work is never stored, fails with
+// exp.ErrNotStored before its other suites read the store.
+func TestStoreOnlyRefusesUnstoredSuitesUpFront(t *testing.T) {
+	for _, suite := range []string{"all", "table4", "defenses"} {
+		js := JobSpec{Suite: suite, Benches: []string{"astar"}, Warmup: 2000, Measure: 8000}
+		_, st, _, err := ExecuteSpec(context.Background(), js,
+			ExecOptions{Cache: readFailCache{t}, StoreOnly: true}, nil)
+		if !errors.Is(err, exp.ErrNotStored) || st.Submitted() != 0 {
+			t.Errorf("suite %s: err %v, stats %+v; want ErrNotStored before any run", suite, err, st)
+		}
 	}
 }

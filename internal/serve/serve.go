@@ -447,18 +447,24 @@ func (e localExecutor) Execute(ctx context.Context, job ExecJob) (*report.Report
 
 // ExecOptions parameterizes ExecuteSpec: the persistent cache tier, the
 // process-level defaults a spec may narrow, and optional span tracing.
+// StoreOnly answers the spec from Cache without simulating, failing with
+// exp.ErrNotStored at the first run Cache does not hold
+// (exp.RunnerOptions.StoreOnly), and before any lookup for a spec with
+// table4 or defenses.
 type ExecOptions struct {
 	Cache      exp.ResultCache
 	SimWorkers int
 	RunTimeout time.Duration
 	Trace      *trace.Tracer
 	TraceRoot  trace.SpanID
+	StoreOnly  bool
 }
 
 // ExecuteSpec runs one JobSpec's suites on a fresh exp.Runner and returns
 // the result document, engine stats, and failed-run count. It is the
-// single execution path shared by the in-process worker pool and the fleet
-// worker (which runs it against a tiered local+remote cache).
+// single execution path shared by the in-process worker pool, the fleet
+// worker (which runs it against a tiered local+remote cache) and the fleet
+// coordinator (store-only, over its result store).
 func ExecuteSpec(ctx context.Context, js JobSpec, o ExecOptions, emit func(exp.ProgressEvent)) (*report.Report, exp.Stats, int, error) {
 	spec := exp.DefaultSpec()
 	if js.Warmup > 0 {
@@ -479,6 +485,19 @@ func ExecuteSpec(ctx context.Context, js JobSpec, o ExecOptions, emit func(exp.P
 	if js.Workers > 0 && (workers <= 0 || js.Workers < workers) {
 		workers = js.Workers
 	}
+	suites, err := js.suiteIDs() // validated at submit; re-checked for defense
+	if err != nil {
+		return nil, exp.Stats{}, 0, err
+	}
+	if o.StoreOnly {
+		// table4 and defenses do work the store never holds; refuse a job
+		// that contains them before reading the store for its other suites.
+		for _, id := range suites {
+			if id == exp.SuiteTable4 || id == exp.SuiteDefenses {
+				return nil, exp.Stats{}, 0, exp.ErrNotStored
+			}
+		}
+	}
 	runner := exp.NewRunner(exp.RunnerOptions{
 		Workers:   workers,
 		OnEvent:   emit,
@@ -486,11 +505,8 @@ func ExecuteSpec(ctx context.Context, js JobSpec, o ExecOptions, emit func(exp.P
 		Cache:     o.Cache,
 		Trace:     o.Trace,
 		TraceRoot: o.TraceRoot,
+		StoreOnly: o.StoreOnly,
 	})
-	suites, err := js.suiteIDs() // validated at submit; re-checked for defense
-	if err != nil {
-		return nil, exp.Stats{}, 0, err
-	}
 	rep := report.New()
 	for _, id := range suites {
 		res, err := runner.RunSuite(ctx, id, exp.Options{Spec: spec, Benches: js.Benches, Defenses: js.Defenses})

@@ -16,6 +16,9 @@
 # must be re-queued to a surviving worker and complete with ZERO lost
 # results — every simulation published before the kill comes back as a
 # remote store hit, never re-executed — all verified through /metrics.
+# Then resubmit the identical suite: the coordinator answers it from its
+# result store without leasing it (fleet_jobs_resolved_total up by one, no
+# worker completes a lease), with the same result document.
 #
 # Phase 3 — drain: conspec-ctl workers drain takes a worker out of rotation.
 set -eu
@@ -249,6 +252,45 @@ ctl workers | grep -E "^$victim +lost" >/dev/null || {
     exit 1
 }
 echo "fleet-smoke: phase 2 OK (job finished on $worker2; $pre_kill pre-kill simulations reused from the store)"
+
+echo "fleet-smoke: phase 2b — the identical resubmission resolves at the coordinator"
+# Workers push their lease counters on each heartbeat (500ms): let one
+# pass so the count read below includes the lru lease.
+sleep 1.2
+resolved_before=$(metric fleet_jobs_resolved_total)
+leases_before=$(worker_metric_sum leases_done_total)
+warm=$(ctl submit -suite lru -benches $BENCH -warmup 2000 -measure 300000)
+ctl watch "$warm" >"$tmp/warm.json" 2>/dev/null
+ctl get "$warm" >"$tmp/warm.status"
+grep -q '"status": "done"' "$tmp/warm.status" || {
+    echo "fleet-smoke: warm resubmission did not finish done" >&2
+    cat "$tmp/warm.status" >&2
+    exit 1
+}
+# No worker held it, so, as on a standalone server, it names none.
+if grep -q '"worker"' "$tmp/warm.status"; then
+    echo "fleet-smoke: resolved job carries a worker field" >&2
+    exit 1
+fi
+sleep 1.2
+resolved=$(metric fleet_jobs_resolved_total)
+leases=$(worker_metric_sum leases_done_total)
+if [ $((resolved - resolved_before)) -ne 1 ]; then
+    echo "fleet-smoke: fleet_jobs_resolved_total went $resolved_before -> $resolved, want +1" >&2
+    exit 1
+fi
+if [ "$leases" -ne "$leases_before" ]; then
+    echo "fleet-smoke: workers completed leases for the warm job ($leases_before -> $leases)" >&2
+    exit 1
+fi
+if ! strip_engine_stats "$tmp/lru.json" >"$tmp/lru.stripped" ||
+    ! strip_engine_stats "$tmp/warm.json" >"$tmp/warm.stripped" ||
+    ! cmp -s "$tmp/lru.stripped" "$tmp/warm.stripped"; then
+    echo "fleet-smoke: resolved result differs from the leased one" >&2
+    diff "$tmp/lru.stripped" "$tmp/warm.stripped" >&2 || true
+    exit 1
+fi
+echo "fleet-smoke: phase 2b OK (resolved without a lease, identical result)"
 
 echo "fleet-smoke: phase 3 — drain a worker"
 ctl workers drain "$worker2" >/dev/null
