@@ -3,8 +3,8 @@
 #   make tier1          — the PR gate: build, lint (gofmt + vet), vet and
 #                         tests of the perfbench benchmark module, full test
 #                         suite, the race detector over the experiment
-#                         engine's worker pool, the obs sinks, and the serve
-#                         daemon, the chaos gate (fault-injection corpus +
+#                         engine's worker pool, the cache tag-array pool,
+#                         the obs sinks, and the serve daemon, the chaos gate (fault-injection corpus +
 #                         self-checking stress), a one-iteration
 #                         BenchmarkFig5 smoke run, the conspec-served
 #                         end-to-end smoke (submit, drain, warm-cache
@@ -79,14 +79,15 @@ test:
 	$(GO) test ./...
 
 # The engine schedules simulations on a bounded worker pool with a shared
-# memo cache, and the obs sinks/registry sit on the hot cycle loop; the
-# fault injector's hook rides that loop too. The serve daemon adds its own
-# worker pool, SSE fan-out, and metrics mutex on top. Run all of them under
-# the race detector on every PR.
+# memo cache, and the workers hand their machines' cache tag arrays to each
+# other through internal/mem's per-geometry pool; the obs sinks/registry
+# sit on the hot cycle loop, and the fault injector's hook rides that loop
+# too. The serve daemon adds its own worker pool, SSE fan-out, and metrics
+# mutex on top. Run all of them under the race detector on every PR.
 race:
-	$(GO) test -race ./internal/exp ./internal/obs ./internal/faultinject \
-	    ./internal/serve ./internal/serve/client ./internal/serve/journal \
-	    ./internal/fleet
+	$(GO) test -race ./internal/exp ./internal/mem ./internal/obs \
+	    ./internal/faultinject ./internal/serve ./internal/serve/client \
+	    ./internal/serve/journal ./internal/fleet
 
 # The robustness gate: the seeded fault-injection corpus (every fault class
 # must be detected by the invariant auditor, the watchdog, or the attack

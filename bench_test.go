@@ -255,7 +255,10 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 // BenchmarkSimSetup measures per-simulation set-up on its own: for each of
 // the 22 profiles, generate the kernel, load it into a fresh backing memory
 // and build the machine — everything exp.RunWorkload does before the first
-// cycle. Run with -benchmem: the bytes per op are the set-up's allocation.
+// cycle. Each machine is released as exp.RunWorkload releases it, so after
+// the first iteration the caches come from the pool, as they do for every
+// simulation but the first of each geometry. Run with -benchmem: the bytes
+// per op are the set-up's allocation.
 func BenchmarkSimSetup(b *testing.B) {
 	profiles := workload.Profiles()
 	sec := pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf}
@@ -267,7 +270,9 @@ func BenchmarkSimSetup(b *testing.B) {
 			}
 			backing := isa.NewFlatMem()
 			w.Load(backing)
-			pipeline.NewWithMemory(config.PaperCore(), sec, backing).SetPC(w.Entry)
+			cpu := pipeline.NewWithMemory(config.PaperCore(), sec, backing)
+			cpu.SetPC(w.Entry)
+			cpu.Release()
 		}
 	}
 }

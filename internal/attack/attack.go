@@ -185,6 +185,10 @@ func (h *Harness) RunWith(cfg config.Core, sec pipeline.SecurityConfig,
 		// the dump shows the machinery that let the secret out.
 		out.Flight = cpu.DumpFlight()
 	}
+	// The outcome is read from backing memory, not the caches, so the
+	// tag arrays can go to the next machine now. A run that panicked above
+	// keeps its caches.
+	cpu.Release()
 	return out
 }
 

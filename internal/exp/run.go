@@ -127,6 +127,12 @@ func RunWorkloadCtx(ctx context.Context, w *workload.Workload, spec RunSpec, set
 // "measure") and must return a closure invoked when the phase ends — the
 // shape a span tracer wants. The hook observes phase boundaries only; the
 // simulation is byte-identical with and without it.
+//
+// The machine is released (pipeline.CPU.Release) when the function returns
+// normally, so its cache tag arrays serve the next simulation of the same
+// geometry; a setup hook may keep the CPU to flush its sinks or dump its
+// flight recorder, but not to touch its memory system. A panicking run is
+// never released.
 func RunWorkloadObs(ctx context.Context, w *workload.Workload, spec RunSpec, setup func(*pipeline.CPU), onPhase func(name string) func()) (pipeline.Result, error) {
 	maxCycles := spec.MaxCycles
 	if maxCycles == 0 {
@@ -148,6 +154,7 @@ func RunWorkloadObs(ctx context.Context, w *workload.Workload, spec RunSpec, set
 	cpu.SetPC(w.Entry)
 	wres, err := runObsPhase(ctx, cpu, spec.Warmup, maxCycles, "warmup", onPhase)
 	if err != nil || !wres.Outcome.Completed() {
+		cpu.Release()
 		return wres, err
 	}
 	cpu.ResetStats()
@@ -161,6 +168,7 @@ func RunWorkloadObs(ctx context.Context, w *workload.Workload, spec RunSpec, set
 	if m != nil {
 		res.Series = m.Series()
 	}
+	cpu.Release()
 	return res, err
 }
 

@@ -10,7 +10,10 @@
 // capture, while data correctness is the backing store's job.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Level identifies where in the hierarchy an access hit.
 type Level int
@@ -68,11 +71,17 @@ func (p UpdatePolicy) String() string {
 	}
 }
 
+// line is one way of a set, 16 bytes. tag holds the address tag with
+// validBit set, so zero is an invalid line and a lookup compares one word
+// per way. A cache tag is addr >> (lineBits+setBits) with that shift at
+// least 1 (NewCache enforces it) and a TLB tag is addr >> isa.PageBits, so
+// no tag reaches bit 63 on its own.
 type line struct {
-	tag   uint64
-	valid bool
-	lru   uint64 // larger = more recently used
+	tag uint64
+	lru uint64 // larger = more recently used
 }
+
+const validBit = 1 << 63
 
 // CacheStats counts cache events. Hits+Misses == Accesses.
 type CacheStats struct {
@@ -93,6 +102,13 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // Cache is one set-associative tag array with true-LRU replacement.
+//
+// A cache records the sets its Refill makes valid (dirtyBits and
+// dirtySets), which are the only sets any operation ever changes: lookups
+// and Touch reach valid lines only, and Flush and InvalidateAll only clear.
+// Release uses the record to reset the cache to the state NewCache returns
+// without clearing the whole array, and pools it for the next NewCache of
+// the same geometry.
 type Cache struct {
 	Name     string
 	HitLat   int // total latency of a hit at this level, in cycles
@@ -107,12 +123,41 @@ type Cache struct {
 	plru     *plruState
 	rng      xorshift64
 	Stats    CacheStats
+
+	dirtyBits []uint64 // one bit per set Refill has made valid
+	dirtySets []int32  // those sets, in first-refill order; capacity sets
 }
+
+// rngSeed is every cache's initial ReplRandom state.
+const rngSeed = 0x9E3779B97F4A7C15
+
+// geometry keys the pool of released caches: a cache is reusable by any
+// NewCache call with the same size, associativity and line size, whatever
+// its name, latency or replacement policy.
+type geometry struct{ size, ways, lineBytes int }
+
+// cachePools maps a geometry to the *sync.Pool of released caches of it.
+var cachePools sync.Map
 
 // NewCache builds a cache of size bytes, the given associativity and line
 // size (both powers of two), with hit latency hitLat. It panics on invalid
-// geometry; configurations are program constants, not user input.
+// geometry; configurations are program constants, not user input. A cache
+// of the same geometry that was released earlier is reused when the pool
+// still holds one.
 func NewCache(name string, size, ways, lineBytes, hitLat int) *Cache {
+	// Only valid caches are ever released, so an invalid geometry finds no
+	// pool and reaches newCache's checks.
+	if p, ok := cachePools.Load(geometry{size, ways, lineBytes}); ok {
+		if c, _ := p.(*sync.Pool).Get().(*Cache); c != nil {
+			c.Name, c.HitLat = name, hitLat
+			return c
+		}
+	}
+	return newCache(name, size, ways, lineBytes, hitLat)
+}
+
+// newCache allocates a cache, bypassing the pool.
+func newCache(name string, size, ways, lineBytes, hitLat int) *Cache {
 	if size <= 0 || ways <= 0 || lineBytes <= 0 || size%(ways*lineBytes) != 0 {
 		panic(fmt.Sprintf("mem: invalid cache geometry %s size=%d ways=%d line=%d",
 			name, size, ways, lineBytes))
@@ -121,6 +166,10 @@ func NewCache(name string, size, ways, lineBytes, hitLat int) *Cache {
 	if sets&(sets-1) != 0 || lineBytes&(lineBytes-1) != 0 {
 		panic(fmt.Sprintf("mem: %s sets (%d) and line size (%d) must be powers of two",
 			name, sets, lineBytes))
+	}
+	if sets*lineBytes < 2 {
+		// The tag shift would be 0, and a tag could then reach validBit.
+		panic(fmt.Sprintf("mem: %s needs more than one byte per way", name))
 	}
 	lb := uint(0)
 	for 1<<lb < lineBytes {
@@ -139,16 +188,46 @@ func NewCache(name string, size, ways, lineBytes, hitLat int) *Cache {
 		setBits:  sb,
 		setMask:  uint64(sets - 1),
 		lines:    make([]line, sets*ways),
-		rng:      xorshift64(0x9E3779B97F4A7C15),
+		rng:      rngSeed,
+
+		dirtyBits: make([]uint64, (sets+63)/64),
+		dirtySets: make([]int32, 0, sets),
 	}
+}
+
+// Release returns the cache to a pool for reuse by the next NewCache of
+// the same geometry. It first resets the cache to the state NewCache
+// produces: the lines and PLRU bits of every set Refill dirtied are
+// cleared, and the clock, the ReplRandom state, the policy and Stats are
+// reset. The caller must not use the cache afterwards, and must release it
+// at most once.
+func (c *Cache) Release() {
+	for _, s := range c.dirtySets {
+		clear(c.lines[int(s)*c.ways : (int(s)+1)*c.ways])
+		if c.plru != nil {
+			c.plru.bits[s] = 0
+		}
+		c.dirtyBits[s>>6] = 0
+	}
+	c.dirtySets = c.dirtySets[:0]
+	c.clock = 0
+	c.repl = ReplLRU
+	c.rng = rngSeed
+	c.Stats = CacheStats{}
+	g := geometry{c.sets * c.ways << c.lineBits, c.ways, 1 << c.lineBits}
+	p, ok := cachePools.Load(g)
+	if !ok {
+		p, _ = cachePools.LoadOrStore(g, new(sync.Pool))
+	}
+	p.(*sync.Pool).Put(c)
 }
 
 // SetReplacement selects the victim policy; call before first use. Tree
 // PLRU requires power-of-two associativity.
 func (c *Cache) SetReplacement(k ReplacementKind) *Cache {
 	c.repl = k
-	if k == ReplTreePLRU {
-		c.plru = newPLRU(c.sets, c.ways)
+	if k == ReplTreePLRU && c.plru == nil {
+		c.plru = newPLRU(c.sets, c.ways) // a released cache keeps its cleared bits
 	}
 	return c
 }
@@ -208,10 +287,11 @@ func (c *Cache) set(addr uint64) []line {
 	return c.lines[s*c.ways : (s+1)*c.ways]
 }
 
-// tag extracts the tag bits above the set index. sets is a power of two, so
-// the division the formula calls for is a shift.
+// tag extracts the tag bits above the set index, marked valid: the word a
+// resident line of addr holds. sets is a power of two, so the division the
+// formula calls for is a shift.
 func (c *Cache) tag(addr uint64) uint64 {
-	return addr >> (c.lineBits + c.setBits)
+	return addr>>(c.lineBits+c.setBits) | validBit
 }
 
 // Probe reports whether addr's line is present, without touching any state
@@ -221,7 +301,7 @@ func (c *Cache) Probe(addr uint64) bool {
 	tag := c.tag(addr)
 	set := c.set(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			return true
 		}
 	}
@@ -238,7 +318,7 @@ func (c *Cache) Access(addr uint64, touch bool) bool {
 	tag := c.tag(addr)
 	set := c.set(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			c.Stats.Hits++
 			if touch {
 				c.touchWay(c.SetIndex(addr), i)
@@ -256,7 +336,7 @@ func (c *Cache) Touch(addr uint64) {
 	tag := c.tag(addr)
 	set := c.set(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			c.touchWay(c.SetIndex(addr), i)
 			return
 		}
@@ -272,34 +352,39 @@ func (c *Cache) Refill(addr uint64) (evicted uint64, didEvict bool) {
 	set := c.set(addr)
 	victim := -1
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			c.touchWay(setIdx, i) // already present
 			return 0, false
 		}
-		if !set[i].valid && victim < 0 {
+		if set[i].tag == 0 && victim < 0 {
 			victim = i
 		}
 	}
 	if victim < 0 {
 		victim = c.victimWay(setIdx)
+	} else if w, b := setIdx>>6, uint64(1)<<(setIdx&63); c.dirtyBits[w]&b == 0 {
+		// A free way means the set may never have been refilled: record
+		// it. A full set is valid, so it is already recorded.
+		c.dirtyBits[w] |= b
+		c.dirtySets = append(c.dirtySets, int32(setIdx))
 	}
 	c.Stats.Refills++
-	if set[victim].valid {
+	if old := set[victim].tag; old != 0 {
 		c.Stats.Evictions++
-		evicted = c.lineBase(addr, set[victim].tag)
+		evicted = c.lineBase(addr, old)
 		didEvict = true
 	}
 	c.clock++
-	set[victim] = line{tag: tag, valid: true, lru: c.clock}
+	set[victim] = line{tag: tag, lru: c.clock}
 	c.touchWay(setIdx, victim)
 	return evicted, didEvict
 }
 
-// lineBase reconstructs a line base address from a tag and the set index of
-// a probe address mapping to the same set.
+// lineBase reconstructs a line base address from a line's tag word and the
+// set index of a probe address mapping to the same set.
 func (c *Cache) lineBase(probeAddr, tag uint64) uint64 {
 	set := uint64(c.SetIndex(probeAddr))
-	return (tag*uint64(c.sets) + set) << c.lineBits
+	return ((tag&^validBit)*uint64(c.sets) + set) << c.lineBits
 }
 
 // Flush invalidates addr's line if present, returning whether it was.
@@ -307,8 +392,8 @@ func (c *Cache) Flush(addr uint64) bool {
 	tag := c.tag(addr)
 	set := c.set(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].valid = false
+		if set[i].tag == tag {
+			set[i].tag = 0
 			c.Stats.Flushes++
 			return true
 		}
@@ -316,18 +401,18 @@ func (c *Cache) Flush(addr uint64) bool {
 	return false
 }
 
-// InvalidateAll empties the cache (used between experiment phases).
+// InvalidateAll empties the cache (used between experiment phases). The
+// dirtied-set record stays: PLRU bits keep their state, as they always
+// have, so Release must still clear those sets.
 func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.lines)
 }
 
 // Resident returns how many valid lines the cache currently holds.
 func (c *Cache) Resident() int {
 	n := 0
 	for i := range c.lines {
-		if c.lines[i].valid {
+		if c.lines[i].tag != 0 {
 			n++
 		}
 	}

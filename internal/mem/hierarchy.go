@@ -73,6 +73,24 @@ func NewHierarchy(cfg HierarchyConfig, backing *isa.FlatMem) *Hierarchy {
 	}
 }
 
+// Release hands the four caches back for reuse by later NewHierarchy calls
+// of the same geometry (see Cache.Release) and drops the hierarchy's
+// pointers to them, so a second Release is a no-op and any later access
+// panics rather than reaching a cache another simulation now owns. A
+// hierarchy with coherence peers shares its L2 and L3 and keeps its
+// caches: Release does nothing there.
+func (h *Hierarchy) Release() {
+	if len(h.peers) > 0 {
+		return
+	}
+	for _, c := range [...]*Cache{h.L1I, h.L1D, h.L2, h.L3} {
+		if c != nil {
+			c.Release()
+		}
+	}
+	h.L1I, h.L1D, h.L2, h.L3 = nil, nil, nil, nil
+}
+
 // NewSharedHierarchy builds a second core's hierarchy that shares the
 // given hierarchy's L2, L3 and backing store but has private L1s and TLBs.
 // The two are registered as coherence peers of each other.

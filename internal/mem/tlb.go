@@ -26,16 +26,17 @@ func NewTLB(name string, n, walkLat int) *TLB {
 // (0 on a TLB hit, WalkLat on a miss). Misses refill the TLB.
 func (t *TLB) Translate(addr uint64) (ppn uint64, extraLat int) {
 	vpn := addr >> isa.PageBits
+	tag := vpn | validBit
 	t.Stats.Accesses++
 	t.clock++
-	if e := &t.entries[t.mru]; e.valid && e.tag == vpn {
+	if e := &t.entries[t.mru]; e.tag == tag {
 		t.Stats.Hits++
 		e.lru = t.clock
 		return vpn, 0 // identity mapping
 	}
 	for i := range t.entries {
 		e := &t.entries[i]
-		if e.valid && e.tag == vpn {
+		if e.tag == tag {
 			t.Stats.Hits++
 			e.lru = t.clock
 			t.mru = i
@@ -47,27 +48,27 @@ func (t *TLB) Translate(addr uint64) (ppn uint64, extraLat int) {
 	victim := 0
 	for i := range t.entries {
 		e := &t.entries[i]
-		if !e.valid {
+		if e.tag == 0 {
 			victim = i
-		} else if t.entries[victim].valid && e.lru < t.entries[victim].lru {
+		} else if t.entries[victim].tag != 0 && e.lru < t.entries[victim].lru {
 			victim = i
 		}
 	}
 	t.Stats.Misses++
 	t.Stats.Refills++
-	if t.entries[victim].valid {
+	if t.entries[victim].tag != 0 {
 		t.Stats.Evictions++
 	}
-	t.entries[victim] = line{tag: vpn, valid: true, lru: t.clock}
+	t.entries[victim] = line{tag: tag, lru: t.clock}
 	t.mru = victim
 	return vpn, t.WalkLat
 }
 
 // Probe reports whether the translation is cached, without side effects.
 func (t *TLB) Probe(addr uint64) bool {
-	vpn := addr >> isa.PageBits
+	tag := addr>>isa.PageBits | validBit
 	for i := range t.entries {
-		if t.entries[i].valid && t.entries[i].tag == vpn {
+		if t.entries[i].tag == tag {
 			return true
 		}
 	}
@@ -76,7 +77,5 @@ func (t *TLB) Probe(addr uint64) bool {
 
 // InvalidateAll empties the TLB.
 func (t *TLB) InvalidateAll() {
-	for i := range t.entries {
-		t.entries[i] = line{}
-	}
+	clear(t.entries)
 }

@@ -450,6 +450,19 @@ func NewWithMemory(cfg config.Core, sec SecurityConfig, backing *isa.FlatMem) *C
 	return New(cfg, sec, mem.NewHierarchy(cfg.Mem, backing))
 }
 
+// Release hands the machine's caches back for reuse by the next machine of
+// the same cache geometry (see mem.Hierarchy.Release). Call it once the
+// run's statistics have been read; the CPU must not run or touch its
+// memory system afterwards (that panics), and Hierarchy returns nil. A
+// second Release is a no-op. A run that panicked should not be released:
+// its caches may be mid-update.
+func (c *CPU) Release() {
+	if c.hier != nil {
+		c.hier.Release()
+		c.hier = nil
+	}
+}
+
 // Hierarchy returns the memory system (attack harnesses probe it directly).
 func (c *CPU) Hierarchy() *mem.Hierarchy { return c.hier }
 
