@@ -23,10 +23,12 @@
 #                         corpus.
 #   make bench-snapshot — run the tracked benchmark set and write
 #                         BENCH_<sha>.json via cmd/conspec-benchstat.
-#   make bench-compare  — diff the two most recent BENCH_*.json snapshots
-#                         and FAIL (exit 1) if BenchmarkFig5 or any
-#                         BenchmarkSecMatrix* regressed ns/op by more than
-#                         5% — the perf gate for perf-sensitive PRs.
+#   make bench-compare OLD=BENCH_<a>.json NEW=BENCH_<b>.json
+#                       — diff two BENCH_*.json snapshots and FAIL (exit 1)
+#                         if BenchmarkFig5 or any BenchmarkSecMatrix*
+#                         regressed ns/op by more than 5% — the perf gate for
+#                         perf-sensitive PRs. The pair is named explicitly:
+#                         a checkout gives every snapshot the same mtime.
 #   make bench-pairs PARENT=<rev> WORKLOAD=<w> SEEDS="1 … 10"
 #                       — run perfbench on the parent and the working tree
 #                         in alternating pairs and print the medians, IQRs,
@@ -124,7 +126,7 @@ crash-smoke:
 # the backend's documented expectation (origin and SSBD leak, the rest
 # block).
 defense-matrix:
-	$(GO) test -count=1 -run '^(TestDefenseMatrix|TestDefenseHooksGolden)$$' ./internal/exp ./internal/pipeline
+	$(GO) test -count=1 -run '^(TestDefenseMatrix|TestDefenseHooksGolden|TestHooksMatchReference)$$' ./internal/exp ./internal/pipeline ./internal/core
 
 # Observability smoke: the deadlock reproducer with the flight recorder
 # armed must leave a parseable dump covering the final window before the
@@ -163,9 +165,9 @@ bench-snapshot:
 # The gate fails the target when a perf-critical benchmark (Fig5 or the
 # SecMatrix kernels) regressed its ns/op by more than 5%.
 bench-compare:
-	@set -- $$(ls -1t BENCH_*.json | head -2); \
-	if [ $$# -lt 2 ]; then echo "need two BENCH_*.json snapshots"; exit 1; fi; \
-	$(GO) run ./cmd/conspec-benchstat -compare -fail-on-regress 5 "$$2" "$$1"
+	@if [ -z "$(OLD)" ] || [ -z "$(NEW)" ]; then \
+	    echo 'usage: make bench-compare OLD=BENCH_<old>.json NEW=BENCH_<new>.json'; exit 2; fi
+	$(GO) run ./cmd/conspec-benchstat -compare -fail-on-regress 5 "$(OLD)" "$(NEW)"
 
 # Paired end-to-end benchmark runs against a parent revision (see
 # scripts/benchpairs.sh); each run's length is BENCHMARK.json's run_seconds.

@@ -21,7 +21,6 @@ import (
 	"testing"
 
 	"conspec/internal/asm"
-	"conspec/internal/attack"
 	"conspec/internal/branch"
 	"conspec/internal/config"
 	"conspec/internal/core"
@@ -73,8 +72,7 @@ func BenchmarkTable4(b *testing.B) {
 		}
 		matches := 0
 		for _, o := range outcomes {
-			shared := o.Scenario != "v1-samepage/prime+probe" && o.Scenario != "v1-samepage/evict+time"
-			if o.Leaked != attack.ExpectedDefense("", shared, o.Mechanism) {
+			if o.Leaked != o.Defense.Closes(o.SharedMemory) {
 				matches++
 			}
 		}

@@ -13,15 +13,16 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"conspec/internal/asm"
 	"conspec/internal/buildinfo"
 	"conspec/internal/config"
 	"conspec/internal/core"
+	"conspec/internal/exp"
 	"conspec/internal/isa"
 	"conspec/internal/obs"
 	"conspec/internal/pipeline"
@@ -32,7 +33,7 @@ func main() {
 		runFile   = flag.String("run", "", "assemble and run this file")
 		disasm    = flag.String("disasm", "", "assemble this file and print the listing")
 		base      = flag.Uint64("base", 0x1000, "load address")
-		mech      = flag.String("mech", "origin", "defense: "+strings.Join(core.DefenseNames(), "|"))
+		mech      = flag.String("mech", "origin", "defense: "+core.DefenseUsage())
 		maxCycles = flag.Uint64("maxcycles", 10_000_000, "cycle budget")
 		trace     = flag.Bool("trace", false, "print a pipeline event trace")
 		pipeview  = flag.String("pipeview", "", "write an O3PipeView trace (Konata-compatible) to FILE")
@@ -71,19 +72,14 @@ func main() {
 		return
 	}
 
-	name := *mech
-	if name == "" {
-		name = "origin"
-	}
-	d, err := core.LookupDefense(name)
+	d, err := core.LookupDefense(cmp.Or(*mech, "origin")) // "" keeps the historical default
 	if err != nil {
 		fatal(err)
 	}
 
 	backing := isa.NewFlatMem()
 	prog.Load(backing)
-	cpu := pipeline.NewWithMemory(config.PaperCore(),
-		pipeline.SecurityConfig{Mechanism: d.Mechanism(), SSBD: d.SSBD()}, backing)
+	cpu := pipeline.NewWithMemory(config.PaperCore(), exp.SecFor(d), backing)
 	if *trace {
 		cpu.AttachTracer(os.Stderr)
 	}

@@ -36,7 +36,7 @@ func main() {
 		list      = flag.Bool("list", false, "list scenarios and exit")
 		all       = flag.Bool("all", false, "run every scenario under every mechanism (Table IV)")
 		scenario  = flag.String("scenario", "", "scenario name (see -list)")
-		mech      = flag.String("mech", "", "defense: origin|baseline|cachehit|cachehit+tpbuf|ssbd|fence|delay-on-miss|invisispec (empty = the four paper variants)")
+		mech      = flag.String("mech", "", "defense: "+core.DefenseUsage()+"; empty = the four paper variants")
 		lru       = flag.Bool("lru", false, "run the §VII.A LRU side channel across update policies")
 		crossCore = flag.Bool("crosscore", false, "run the two-core, two-program attack (victim per mechanism)")
 		tlb       = flag.Bool("tlb", false, "run the DTLB-refill side channel and its filter extension")
@@ -155,24 +155,25 @@ func main() {
 		os.Exit(2)
 	}
 	// Empty -mech keeps the historical default: the four paper variants.
-	names := []string{"origin", "baseline", "cachehit", "cachehit+tpbuf"}
-	if *mech != "" {
-		names = []string{*mech}
-	}
-	var secs []pipeline.SecurityConfig
-	for _, n := range names {
-		d, err := core.LookupDefense(n)
+	var defs []core.Defense
+	if *mech == "" {
+		for _, m := range core.Mechanisms {
+			d, _ := core.DefenseFor(m, false)
+			defs = append(defs, d)
+		}
+	} else {
+		d, err := core.LookupDefense(*mech)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		secs = append(secs, pipeline.SecurityConfig{Mechanism: d.Mechanism(), SSBD: d.SSBD()})
+		defs = append(defs, d)
 	}
-	if *pipeview != "" && len(secs) != 1 {
+	if *pipeview != "" && len(defs) != 1 {
 		fmt.Fprintln(os.Stderr, "-pipeview traces one run: pick a mechanism with -mech")
 		os.Exit(2)
 	}
-	for _, sec := range secs {
+	for _, d := range defs {
 		checkCancelled()
 		setup := func(*pipeline.CPU) {}
 		if *pipeview != "" {
@@ -184,7 +185,7 @@ func main() {
 			defer f.Close()
 			setup = func(c *pipeline.CPU) { c.AttachSink(obs.NewPipeViewSink(f, c.Disasm)) }
 		}
-		o := h.RunWith(cfg, sec, setup)
+		o := h.RunWith(cfg, exp.SecFor(d), setup)
 		fmt.Println(o)
 		fmt.Printf("    secret %x, recovered %x (%d cycles)\n", o.Secret, o.Recovered, o.Cycles)
 	}

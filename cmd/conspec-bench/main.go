@@ -68,6 +68,11 @@ func main() {
 		fmt.Println(buildinfo.Short("conspec-bench"))
 		return
 	}
+	suites, err := exp.SuitesNamed(*suite)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	profStop, err := prof.Start()
 	if err != nil {
 		fatal(err)
@@ -117,7 +122,6 @@ func main() {
 	runner := exp.NewRunner(ropts)
 	opts := exp.Options{Spec: spec, Benches: names, Defenses: defNames}
 
-	want := func(s string) bool { return *suite == "all" || *suite == s }
 	start := time.Now()
 
 	rep := report.New()
@@ -138,51 +142,20 @@ func main() {
 		fatal(err)
 	}
 
-	if want("fig5") || want("table5") {
-		res, err := runner.RunSuite(ctx, exp.SuiteFig5, opts)
+	for _, id := range suites {
+		res, err := runner.RunSuite(ctx, id, opts)
 		if err != nil {
 			fail(err)
 		}
 		if *asJSON {
 			rep.AddSuite(res)
-		} else {
-			ev := res.Evaluation()
-			fmt.Println("=== Figure 5: runtime normalized to Origin ===")
-			fmt.Println(ev.Fig5Text())
-			fmt.Println("=== Table V: filter analysis ===")
-			fmt.Println(ev.Table5Text())
-		}
-	}
-	// The remaining suites share one emit shape: JSON documents fold into
-	// the report, text output prints a banner plus the suite rendering.
-	textSuites := []struct {
-		name   string
-		id     exp.SuiteID
-		banner string
-	}{
-		{"table4", exp.SuiteTable4, "=== Table IV: security analysis ==="},
-		{"table6", exp.SuiteTable6, "=== Table VI: core sensitivity ==="},
-		{"scope", exp.SuiteScope, "=== §VI.C(1): matrix scope decomposition ==="},
-		{"lru", exp.SuiteLRU, "=== §VII.A: secure replacement-update policies ==="},
-		{"icache", exp.SuiteICache, "=== §VII.B: ICache-hit filter extension ==="},
-		{"dtlb", exp.SuiteDTLB, "=== DTLB-hit filter extension ==="},
-		{"compare", exp.SuiteCompare, "=== Defense comparison: CH+TPBuf vs InvisiSpec vs SW fence ==="},
-		{"overhead", exp.SuiteOverhead, "=== §VI.E: hardware overhead model ==="},
-		{"defenses", exp.SuiteDefenses, "=== Defense matrix: overhead vs Spectre V1 verdict ==="},
-	}
-	for _, s := range textSuites {
-		if !want(s.name) {
 			continue
 		}
-		res, err := runner.RunSuite(ctx, s.id, opts)
-		if err != nil {
-			fail(err)
-		}
-		if *asJSON {
-			rep.AddSuite(res)
-		} else {
-			fmt.Println(s.banner)
-			fmt.Println(res.Text())
+		fmt.Println(banners[id])
+		fmt.Println(res.Text())
+		if id == exp.SuiteFig5 {
+			fmt.Println("=== Table V: filter analysis ===")
+			fmt.Println(res.Evaluation().Table5Text())
 		}
 	}
 	// Failed runs (deadlocks, audit violations, cycle caps, timeouts) were
@@ -205,6 +178,20 @@ func main() {
 		profStop()
 		os.Exit(1)
 	}
+}
+
+// banners heads each suite's text output.
+var banners = map[exp.SuiteID]string{
+	exp.SuiteFig5:     "=== Figure 5: runtime normalized to Origin ===",
+	exp.SuiteTable4:   "=== Table IV: security analysis ===",
+	exp.SuiteTable6:   "=== Table VI: core sensitivity ===",
+	exp.SuiteScope:    "=== §VI.C(1): matrix scope decomposition ===",
+	exp.SuiteLRU:      "=== §VII.A: secure replacement-update policies ===",
+	exp.SuiteICache:   "=== §VII.B: ICache-hit filter extension ===",
+	exp.SuiteDTLB:     "=== DTLB-hit filter extension ===",
+	exp.SuiteCompare:  "=== Defense comparison: CH+TPBuf vs InvisiSpec vs SW fence ===",
+	exp.SuiteOverhead: "=== §VI.E: hardware overhead model ===",
+	exp.SuiteDefenses: "=== Defense matrix: overhead vs Spectre V1 verdict ===",
 }
 
 // writeTrace exports the invocation's span trace as Chrome trace-event

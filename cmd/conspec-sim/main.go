@@ -29,6 +29,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -62,16 +63,6 @@ func coreByName(name string) (config.Core, bool) {
 	return config.Core{}, false
 }
 
-// defenseByName resolves a -mech value through the core defense registry
-// ("" keeps the historical origin default). The old per-CLI spellings
-// ("tpbuf", "cache-hit") are registered aliases, so they keep working.
-func defenseByName(name string) (core.Defense, error) {
-	if name == "" {
-		name = "origin"
-	}
-	return core.LookupDefense(name)
-}
-
 func lruByName(name string) (mem.UpdatePolicy, bool) {
 	switch strings.ToLower(name) {
 	case "always", "":
@@ -88,7 +79,7 @@ func main() {
 	var (
 		list    = flag.Bool("list", false, "list benchmarks and exit")
 		bench   = flag.String("bench", "", "benchmark name (see -list)")
-		mech    = flag.String("mech", "origin", "defense: "+strings.Join(core.DefenseNames(), "|")+" (aliases: tpbuf, lfence, dom, ...)")
+		mech    = flag.String("mech", "origin", "defense: "+core.DefenseUsage())
 		coreF   = flag.String("core", "paper", "core: paper|a57|i7|xeon")
 		scope   = flag.String("scope", "full", "matrix scope: full|branch-only")
 		icache  = flag.Bool("icache", false, "enable the §VII.B ICache-hit filter")
@@ -146,7 +137,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown core %q\n", *coreF)
 		os.Exit(2)
 	}
-	d, err := defenseByName(*mech)
+	d, err := core.LookupDefense(cmp.Or(*mech, "origin")) // "" keeps the historical default
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -167,10 +158,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	sec := exp.SecFor(d)
+	sec.Scope = sc
+	sec.ICacheFilter = *icache
+	sec.SSBD = sec.SSBD || *ssbd
+	sec.DTLBFilter = *dtlbF
 	spec := exp.RunSpec{
-		Core: cfg,
-		Sec: pipeline.SecurityConfig{Mechanism: d.Mechanism(), Scope: sc,
-			ICacheFilter: *icache, SSBD: *ssbd || d.SSBD(), DTLBFilter: *dtlbF},
+		Core:      cfg,
+		Sec:       sec,
 		L1DUpdate: pol,
 		Warmup:    *warmup,
 		Measure:   *measure,

@@ -59,7 +59,7 @@ func main() {
 		fmt.Printf("  sum        = %d (expect %d)\n", cpu.ArchReg(int(asm.S0)), 511*512/2)
 		fmt.Printf("  cycles     = %d (IPC %.2f)\n", res.Cycles, res.IPC())
 		fmt.Printf("  L1D hits   = %.1f%%\n", 100*res.L1D.HitRate())
-		if mech.TracksDependence() {
+		if d, _ := core.DefenseFor(mech, false); d.Hooks().TracksDependence {
 			fmt.Printf("  suspect    = %d issued, %d blocked events\n",
 				res.Filter.SuspectIssued, res.Filter.BlockedEvents)
 		}

@@ -20,6 +20,7 @@ import (
 
 	"conspec/internal/asm"
 	"conspec/internal/config"
+	"conspec/internal/core"
 	"conspec/internal/isa"
 	"conspec/internal/obs"
 	"conspec/internal/pipeline"
@@ -98,11 +99,16 @@ type Harness struct {
 
 // Outcome reports one attack run.
 type Outcome struct {
-	Scenario  string
-	Mechanism string
-	Recovered []byte
-	Secret    []byte
-	Correct   int
+	Scenario string
+	// Defense is the registry row the run's security configuration names;
+	// its title labels the outcome.
+	Defense core.Defense
+	// SharedMemory is the scenario's receiver class (Harness.SharedMemory):
+	// with Defense it gives the expected verdict, Defense.Closes.
+	SharedMemory bool
+	Recovered    []byte
+	Secret       []byte
+	Correct      int
 	// Leaked is true when at least half the secret bytes were recovered —
 	// an attack with that hit rate trivially amplifies to full recovery.
 	Leaked bool
@@ -120,7 +126,7 @@ func (o Outcome) String() string {
 		status = "LEAKED"
 	}
 	return fmt.Sprintf("%-28s %-34s %d/%d bytes  %s",
-		o.Scenario, o.Mechanism, o.Correct, len(o.Secret), status)
+		o.Scenario, o.Defense.Title(), o.Correct, len(o.Secret), status)
 }
 
 // Run executes the scenario on a fresh machine under the given mechanism.
@@ -171,14 +177,16 @@ func (h *Harness) RunWith(cfg config.Core, sec pipeline.SecurityConfig,
 			correct++
 		}
 	}
+	def, _ := core.DefenseFor(sec.Mechanism, sec.SSBD) // NewWithMemory panics on a mechanism without a row
 	out := Outcome{
-		Scenario:  h.Name,
-		Mechanism: sec.Mechanism.String(),
-		Recovered: recovered,
-		Secret:    append([]byte(nil), h.Secret...),
-		Correct:   correct,
-		Leaked:    correct*2 >= len(h.Secret),
-		Cycles:    res.Cycles,
+		Scenario:     h.Name,
+		Defense:      def,
+		SharedMemory: h.SharedMemory,
+		Recovered:    recovered,
+		Secret:       append([]byte(nil), h.Secret...),
+		Correct:      correct,
+		Leaked:       correct*2 >= len(h.Secret),
+		Cycles:       res.Cycles,
 	}
 	if out.Leaked {
 		// A conviction: snapshot the armed recorder (nil when unarmed) so

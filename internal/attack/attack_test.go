@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"strings"
 	"testing"
 
 	"conspec/internal/config"
@@ -41,11 +42,39 @@ func TestTableIV(t *testing.T) {
 	for _, h := range Scenarios(cfg) {
 		for _, m := range core.Mechanisms {
 			o := h.Run(cfg, pipeline.SecurityConfig{Mechanism: m})
-			wantDefended := ExpectedDefense(h.Class, h.SharedMemory, m.String())
+			d, _ := core.DefenseFor(m, false)
+			wantDefended := d.Closes(h.SharedMemory)
 			if o.Leaked == wantDefended {
 				t.Errorf("%s under %v: leaked=%v (recovered %x, secret %x), Table IV expects defended=%v",
 					h.Name, m, o.Leaked, o.Recovered, o.Secret, wantDefended)
 			}
+		}
+	}
+}
+
+// TestOutcomeLabels checks an outcome is titled by its defense row: SSBD
+// rides on Origin's mechanism but is labelled as itself, and the paper
+// variants keep the titles Table IV prints.
+func TestOutcomeLabels(t *testing.T) {
+	cfg := attackCore()
+	h := V4FlushReload(cfg)
+	for name, want := range map[string]string{
+		"ssbd":           "SSBD (store bypass disable)",
+		"origin":         "Origin",
+		"baseline":       "Baseline",
+		"cachehit":       "Cache-hit Filter",
+		"cachehit+tpbuf": "Cache-hit Filter + TPBuf Filter",
+	} {
+		d, err := core.LookupDefense(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := h.Run(cfg, pipeline.SecurityConfig{Mechanism: d.Mechanism(), SSBD: d.SSBD()})
+		if got := o.Defense.Title(); got != want {
+			t.Errorf("%s: outcome titled %q, want %q", name, got, want)
+		}
+		if !strings.Contains(o.String(), want) {
+			t.Errorf("%s: outcome line %q does not carry %q", name, o.String(), want)
 		}
 	}
 }
@@ -87,7 +116,7 @@ func TestSecretValuesValid(t *testing.T) {
 }
 
 func TestOutcomeString(t *testing.T) {
-	o := Outcome{Scenario: "x", Mechanism: "y", Secret: []byte{1, 2}, Correct: 2, Leaked: true}
+	o := Outcome{Scenario: "x", Secret: []byte{1, 2}, Correct: 2, Leaked: true}
 	if s := o.String(); s == "" {
 		t.Fatal("empty outcome string")
 	}

@@ -119,17 +119,19 @@ func RunCrossCore(cfg config.Core, victim core.Mechanism) CrossCoreOutcome {
 			correct++
 		}
 	}
+	def, _ := core.DefenseFor(victim, false) // NewDuo panics on a mechanism without a row
 	return CrossCoreOutcome{
 		Outcome: Outcome{
-			Scenario:  "cross-core-v1/flush+reload",
-			Mechanism: victim.String(),
-			Recovered: recovered,
-			Secret:    append([]byte(nil), defaultSecret...),
-			Correct:   correct,
-			Leaked:    correct*2 >= len(defaultSecret),
-			Cycles:    cycles,
+			Scenario:     "cross-core-v1/flush+reload",
+			Defense:      def,
+			SharedMemory: true,
+			Recovered:    recovered,
+			Secret:       append([]byte(nil), defaultSecret...),
+			Correct:      correct,
+			Leaked:       correct*2 >= len(defaultSecret),
+			Cycles:       cycles,
 		},
-		VictimMechanism: victim.String(),
+		VictimMechanism: def.Title(),
 		DuoCycles:       cycles,
 	}
 }

@@ -400,25 +400,6 @@ func V4FlushReload(cfg config.Core) *Harness {
 	}
 }
 
-// ExpectedDefense returns whether the paper's Table IV (extended with the
-// registered comparison backends) says mechanism defends the scenario class
-// ("✓") — Origin never defends; Baseline and Cache-hit defend everything;
-// TPBuf defends shared-memory rows only. The comparison points: fence and
-// delay-on-miss stop every branch-speculation channel, and InvisiSpec hides
-// every cache-content channel, shared memory or not.
-func ExpectedDefense(class string, sharedMemory bool, mechanism string) bool {
-	switch mechanism {
-	case "Origin":
-		return false
-	case "Baseline", "Cache-hit Filter":
-		return true
-	case "LFENCE-after-branch", "Delay-on-Miss", "InvisiSpec-like (comparator)":
-		return true
-	default: // Cache-hit Filter + TPBuf Filter
-		return sharedMemory
-	}
-}
-
 // V1TLBChannel is the V1 attack with a receiver that times raw reloads —
 // DTLB walk included. The cache filters discard a suspect miss only AFTER
 // translating it (the TPBuf needs the PPN), so the secret's page walk is

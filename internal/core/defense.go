@@ -2,15 +2,15 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // Hooks is a defense's compiled-down contract with the pipeline: a flat
-// struct of booleans the cycle loop reads directly. Devirtualizing the
-// Defense interface into plain flags at CPU construction keeps the steady
-// state at zero allocations and zero dynamic dispatch — the pipeline never
-// holds a Defense value, only its Hooks.
+// struct of booleans the cycle loop reads directly. Copying a backend's
+// Hooks into the CPU at construction keeps the steady state at zero
+// allocations and zero registry lookups — the pipeline never holds a
+// Defense value, only its Hooks.
 //
 // The hook points, in pipeline order:
 //
@@ -41,82 +41,103 @@ type Hooks struct {
 	InvisibleLoads    bool
 }
 
-// Defense is one registered defense backend: a named configuration of
-// pipeline hooks plus the run-key identity (Mechanism, SSBD) the experiment
-// layer caches under. Implementations must be stateless values — the same
-// Defense is shared by every simulation.
-type Defense interface {
-	// Name is the canonical registry key ("cachehit+tpbuf"); every CLI flag
-	// and JobSpec field resolves through it.
-	Name() string
-	// Title is the display name used in tables and attack verdicts; for the
-	// paper variants it equals Mechanism().String().
-	Title() string
-	// Describe is a one-line summary for help text and error messages.
-	Describe() string
-	// Hooks returns the pipeline contract (see Hooks).
-	Hooks() Hooks
-	// Mechanism is the enum value carried in SecurityConfig — the memo run
-	// key for existing mechanisms must not change, so defenses map onto
-	// Mechanism constants rather than replacing them.
-	Mechanism() Mechanism
-	// SSBD reports whether the backend also enables Speculative Store
-	// Bypass Disable (the store-queue watermark).
-	SSBD() bool
+// Defense is one defense backend: one row of the registry table below. A
+// row carries everything the rest of the program knows about a backend —
+// its names, its display title, its pipeline hooks, the run-key identity
+// (Mechanism, SSBD) the experiment layer caches under, and the channel
+// classes it is expected to close — so adding a backend is one Mechanism
+// constant plus one row. Rows are immutable values shared by every
+// simulation.
+type Defense struct {
+	name    string
+	aliases []string
+	title   string
+	hooks   Hooks
+	mech    Mechanism
+	ssbd    bool
+	// closesShared and closesSamePage are the Table IV expectation: whether
+	// the backend stops a branch-speculation attack whose receiver shares
+	// memory with the victim (Flush+Reload and relatives), and one whose
+	// receiver only primes or times lines on the secret's page.
+	closesShared, closesSamePage bool
 }
 
-// defense is the built-in Defense implementation: a plain value struct.
-type defense struct {
-	name     string
-	title    string // display override; empty = mech.String()
-	describe string
-	hooks    Hooks
-	mech     Mechanism
-	ssbd     bool
+// Name is the canonical registry key ("cachehit+tpbuf"); every CLI flag and
+// JobSpec field resolves through it.
+func (d Defense) Name() string { return d.name }
+
+// Title is the display name used in tables and attack verdicts; for the
+// paper variants it is also Mechanism().String().
+func (d Defense) Title() string { return d.title }
+
+// Hooks returns the pipeline contract (see Hooks).
+func (d Defense) Hooks() Hooks { return d.hooks }
+
+// Mechanism is the enum value carried in SecurityConfig — the memo run key
+// hashes it, so backends map onto Mechanism constants rather than replacing
+// them.
+func (d Defense) Mechanism() Mechanism { return d.mech }
+
+// SSBD reports whether the backend also enables Speculative Store Bypass
+// Disable (the store-queue watermark).
+func (d Defense) SSBD() bool { return d.ssbd }
+
+// Closes reports whether d is expected to defend a branch-speculation
+// attack whose receiver shares memory with the victim (sharedMemory) or
+// sits on the secret's page without sharing memory (!sharedMemory).
+func (d Defense) Closes(sharedMemory bool) bool {
+	if sharedMemory {
+		return d.closesShared
+	}
+	return d.closesSamePage
 }
 
-func (d defense) Name() string { return d.name }
-func (d defense) Title() string {
-	if d.title != "" {
-		return d.title
-	}
-	return d.mech.String()
-}
-func (d defense) Describe() string     { return d.describe }
-func (d defense) Hooks() Hooks         { return d.hooks }
-func (d defense) Mechanism() Mechanism { return d.mech }
-func (d defense) SSBD() bool           { return d.ssbd }
+// defenses is the registry. Its order is every listing's order: the paper
+// variants first, then SSBD, then the comparison points.
+var defenses = []Defense{
+	// The four paper variants (§VI.A), under the names the CLIs have always
+	// accepted; the per-CLI spellings are aliases.
 
-var (
-	defenseOrder []Defense          // registration order, canonical names only
-	defenseByKey map[string]Defense // canonical names and aliases
-	defenseAlias map[string]string  // alias -> canonical name
-)
+	// Unprotected out-of-order baseline (no defense).
+	{name: "origin", title: "Origin", mech: Origin},
+	// Block every suspect memory access at issue until dependences clear.
+	{name: "baseline", title: "Baseline", mech: Baseline,
+		hooks:        Hooks{TracksDependence: true, BlockAtIssue: true},
+		closesShared: true, closesSamePage: true},
+	// Suspect loads proceed on L1D hits; misses are blocked (§V.C).
+	{name: "cachehit", aliases: []string{"cache-hit"}, title: "Cache-hit Filter", mech: CacheHit,
+		hooks:        Hooks{TracksDependence: true, CacheHitFilter: true},
+		closesShared: true, closesSamePage: true},
+	// Cache-hit filter plus Trusted Pages Buffer screening of misses (§V.D).
+	// A transmission on the secret's own page completes no S-Pattern, so
+	// the TPBuf lets it refill and a same-page receiver still sees it.
+	{name: "cachehit+tpbuf", aliases: []string{"tpbuf", "cachehit-tpbuf"},
+		title: "Cache-hit Filter + TPBuf Filter", mech: CacheHitTPBuf,
+		hooks:        Hooks{TracksDependence: true, CacheHitFilter: true, TPBufFilter: true},
+		closesShared: true},
+	// Speculative Store Bypass Disable: loads wait for older store
+	// addresses. It stops store bypass (V4), not branch speculation. SSBD
+	// rides on Origin's mechanism: the store-queue watermark is a
+	// SecurityConfig flag, not a Mechanism, so the run key stays
+	// {Mechanism: Origin, SSBD: true} — exactly what existing caches hold.
+	{name: "ssbd", title: "SSBD (store bypass disable)", mech: Origin, ssbd: true},
 
-// RegisterDefense adds d to the registry under its canonical Name plus any
-// aliases. It panics on a duplicate key — registration is an init-time,
-// programmer-error-only path.
-func RegisterDefense(d Defense, aliases ...string) {
-	if defenseByKey == nil {
-		defenseByKey = make(map[string]Defense)
-		defenseAlias = make(map[string]string)
-	}
-	name := d.Name()
-	if name == "" {
-		panic("core: RegisterDefense with empty name")
-	}
-	if _, dup := defenseByKey[name]; dup {
-		panic(fmt.Sprintf("core: duplicate defense %q", name))
-	}
-	defenseByKey[name] = d
-	defenseOrder = append(defenseOrder, d)
-	for _, a := range aliases {
-		if _, dup := defenseByKey[a]; dup {
-			panic(fmt.Sprintf("core: duplicate defense alias %q", a))
-		}
-		defenseByKey[a] = d
-		defenseAlias[a] = name
-	}
+	// Comparison points: fence and delay-on-miss stop every branch-
+	// speculation channel, and InvisiSpec hides every cache-content channel,
+	// shared memory or not.
+
+	// LFENCE after every branch: nothing issues past an unresolved branch.
+	{name: "fence", aliases: []string{"lfence"}, title: "LFENCE-after-branch", mech: Fence,
+		hooks:        Hooks{SerializeBranches: true},
+		closesShared: true, closesSamePage: true},
+	// Suspect L1D misses park until their dependences clear (no re-issue).
+	{name: "delay-on-miss", aliases: []string{"delayonmiss", "dom"}, title: "Delay-on-Miss", mech: DelayOnMiss,
+		hooks:        Hooks{TracksDependence: true, CacheHitFilter: true, DelayOnMiss: true},
+		closesShared: true, closesSamePage: true},
+	// Speculative loads skip refills; the visible access replays at commit.
+	{name: "invisispec", aliases: []string{"invisi"}, title: "InvisiSpec-like (comparator)", mech: InvisiSpec,
+		hooks:        Hooks{InvisibleLoads: true},
+		closesShared: true, closesSamePage: true},
 }
 
 // LookupDefense resolves a canonical name or alias (case-insensitively) to
@@ -124,107 +145,49 @@ func RegisterDefense(d Defense, aliases ...string) {
 // so every CLI and the serve JobSpec reject typos with the same message.
 func LookupDefense(name string) (Defense, error) {
 	key := strings.ToLower(strings.TrimSpace(name))
-	if d, ok := defenseByKey[key]; ok {
-		return d, nil
+	for _, d := range defenses {
+		if d.name == key || slices.Contains(d.aliases, key) {
+			return d, nil
+		}
 	}
-	return nil, fmt.Errorf("unknown defense %q (registered: %s)", name, strings.Join(DefenseNames(), ", "))
+	return Defense{}, fmt.Errorf("unknown defense %q (registered: %s)", name, strings.Join(DefenseNames(), ", "))
 }
 
-// Defenses lists the registered backends in registration order (paper
-// variants first, then SSBD, then the comparison points).
+// DefenseFor returns the row a run key names: the backend with mechanism m
+// and SSBD flag ssbd, else — SSBD being a flag any mechanism can carry —
+// m's own row. It reports false only for a Mechanism constant without a row.
+func DefenseFor(m Mechanism, ssbd bool) (Defense, bool) {
+	for _, d := range defenses {
+		if d.mech == m && d.ssbd == ssbd {
+			return d, true
+		}
+	}
+	if ssbd {
+		return DefenseFor(m, false)
+	}
+	return Defense{}, false
+}
+
+// Defenses lists the registered backends in registry order.
 func Defenses() []Defense {
-	out := make([]Defense, len(defenseOrder))
-	copy(out, defenseOrder)
-	return out
+	return slices.Clone(defenses)
 }
 
-// DefenseNames lists the canonical registry keys in registration order.
+// DefenseNames lists the canonical registry keys in registry order.
 func DefenseNames() []string {
-	names := make([]string, len(defenseOrder))
-	for i, d := range defenseOrder {
-		names[i] = d.Name()
+	names := make([]string, len(defenses))
+	for i, d := range defenses {
+		names[i] = d.name
 	}
 	return names
 }
 
-// DefenseAliases maps each alias to its canonical name, sorted by alias —
-// for help text.
-func DefenseAliases() [][2]string {
-	out := make([][2]string, 0, len(defenseAlias))
-	for a, n := range defenseAlias {
-		out = append(out, [2]string{a, n})
+// DefenseUsage is the -mech help text the CLIs share: the canonical names,
+// then every alias.
+func DefenseUsage() string {
+	var aliases []string
+	for _, d := range defenses {
+		aliases = append(aliases, d.aliases...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// HooksFor resolves the pipeline contract for a bare Mechanism value — the
-// path SecurityConfig takes into the pipeline, where only the enum travels
-// (the memo run key hashes SecurityConfig, so it cannot carry a Defense).
-// The first registered non-SSBD defense with that mechanism wins; SSBD is
-// excluded because it is a SecurityConfig flag orthogonal to the mechanism.
-func HooksFor(m Mechanism) (Hooks, bool) {
-	for _, d := range defenseOrder {
-		if d.Mechanism() == m && !d.SSBD() {
-			return d.Hooks(), true
-		}
-	}
-	return Hooks{}, false
-}
-
-func init() {
-	// The four paper variants (§VI.A), under the names the CLIs have always
-	// accepted; the per-CLI spellings become aliases.
-	RegisterDefense(defense{
-		name:     "origin",
-		describe: "unprotected out-of-order baseline (no defense)",
-		mech:     Origin,
-	})
-	RegisterDefense(defense{
-		name:     "baseline",
-		describe: "block every suspect memory access at issue until dependences clear",
-		hooks:    Hooks{TracksDependence: true, BlockAtIssue: true},
-		mech:     Baseline,
-	})
-	RegisterDefense(defense{
-		name:     "cachehit",
-		describe: "suspect loads proceed on L1D hits; misses are blocked (§V.C)",
-		hooks:    Hooks{TracksDependence: true, CacheHitFilter: true},
-		mech:     CacheHit,
-	}, "cache-hit")
-	RegisterDefense(defense{
-		name:     "cachehit+tpbuf",
-		describe: "cache-hit filter plus Trusted Pages Buffer screening of misses (§V.D)",
-		hooks:    Hooks{TracksDependence: true, CacheHitFilter: true, TPBufFilter: true},
-		mech:     CacheHitTPBuf,
-	}, "tpbuf", "cachehit-tpbuf")
-	// SSBD rides on Origin's mechanism: the store-queue watermark is a
-	// SecurityConfig flag, not a Mechanism, so the run key stays
-	// {Mechanism: Origin, SSBD: true} — exactly what existing caches hold.
-	RegisterDefense(defense{
-		name:     "ssbd",
-		title:    "SSBD (store bypass disable)",
-		describe: "Speculative Store Bypass Disable: loads wait for older store addresses",
-		mech:     Origin,
-		ssbd:     true,
-	})
-	// Comparison points.
-	RegisterDefense(defense{
-		name:     "fence",
-		describe: "LFENCE after every branch: nothing issues past an unresolved branch",
-		hooks:    Hooks{SerializeBranches: true},
-		mech:     Fence,
-	}, "lfence")
-	RegisterDefense(defense{
-		name:     "delay-on-miss",
-		describe: "suspect L1D misses park until their dependences clear (no re-issue)",
-		hooks:    Hooks{TracksDependence: true, CacheHitFilter: true, DelayOnMiss: true},
-		mech:     DelayOnMiss,
-	}, "delayonmiss", "dom")
-	RegisterDefense(defense{
-		name:     "invisispec",
-		describe: "speculative loads skip refills; the visible access replays at commit",
-		hooks:    Hooks{InvisibleLoads: true},
-		mech:     InvisiSpec,
-	}, "invisi")
+	return strings.Join(DefenseNames(), "|") + " (aliases: " + strings.Join(aliases, ", ") + ")"
 }

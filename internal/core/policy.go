@@ -47,49 +47,14 @@ const DelayOnMiss Mechanism = 102
 // the related-work comparator, is deliberately not included).
 var Mechanisms = []Mechanism{Origin, Baseline, CacheHit, CacheHitTPBuf}
 
-// String names the mechanism as the paper does.
+// String names the mechanism as the paper does: the title of its registry
+// row.
 func (m Mechanism) String() string {
-	switch m {
-	case Origin:
-		return "Origin"
-	case Baseline:
-		return "Baseline"
-	case CacheHit:
-		return "Cache-hit Filter"
-	case CacheHitTPBuf:
-		return "Cache-hit Filter + TPBuf Filter"
-	case InvisiSpec:
-		return "InvisiSpec-like (comparator)"
-	case Fence:
-		return "LFENCE-after-branch"
-	case DelayOnMiss:
-		return "Delay-on-Miss"
-	default:
-		return "mechanism(?)"
+	if d, ok := DefenseFor(m, false); ok {
+		return d.title
 	}
+	return "mechanism(?)"
 }
-
-// TracksDependence reports whether the mechanism maintains the security
-// dependence matrix at all. InvisiSpec does not: it never blocks, it hides.
-func (m Mechanism) TracksDependence() bool { return m != Origin && m != InvisiSpec }
-
-// InvisibleLoads reports whether speculative loads bypass cache refills
-// entirely and perform their visible access at commit.
-func (m Mechanism) InvisibleLoads() bool { return m == InvisiSpec }
-
-// BlocksSuspectAtIssue reports whether suspect memory instructions are held
-// in the issue queue until their dependences clear (Baseline only; the
-// filter mechanisms let them issue and decide at the L1D).
-func (m Mechanism) BlocksSuspectAtIssue() bool { return m == Baseline }
-
-// UsesCacheHitFilter reports whether suspect loads may proceed on L1D hits.
-func (m Mechanism) UsesCacheHitFilter() bool {
-	return m == CacheHit || m == CacheHitTPBuf
-}
-
-// UsesTPBuf reports whether suspect L1D misses are screened by the TPBuf
-// before being blocked.
-func (m Mechanism) UsesTPBuf() bool { return m == CacheHitTPBuf }
 
 // FilterStats aggregates the per-run counters behind Table V.
 type FilterStats struct {

@@ -28,9 +28,10 @@ type DefenseRow struct {
 	Leaked    bool
 	Recovered int
 	SecretLen int
-	// ExpectBlock is the backend's documented V1 expectation: every real
-	// defense blocks V1; origin leaks by construction and SSBD only stops
-	// store bypass (V4), not branch speculation.
+	// ExpectBlock is the backend's V1 expectation: whether it closes the
+	// shared-memory channel the PoC's Flush+Reload receiver uses. Origin
+	// leaks by construction and SSBD only stops store bypass (V4), not
+	// branch speculation.
 	ExpectBlock bool
 }
 
@@ -46,16 +47,6 @@ type DefensesResult struct {
 // so memo run keys for the paper variants are unchanged.
 func SecFor(d core.Defense) pipeline.SecurityConfig {
 	return pipeline.SecurityConfig{Mechanism: d.Mechanism(), SSBD: d.SSBD()}
-}
-
-// expectBlocksV1 is DefenseRow.ExpectBlock's source of truth, keyed by
-// registry name so a backend's expectation travels with its registration.
-func expectBlocksV1(d core.Defense) bool {
-	switch d.Name() {
-	case "origin", "ssbd":
-		return false
-	}
-	return true
 }
 
 // resolveDefenses maps registry names (all registered backends when nil) to
@@ -112,7 +103,7 @@ func (r *Runner) Defenses(ctx context.Context, spec RunSpec, names []string, def
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		row := DefenseRow{Name: d.Name(), Title: d.Title(), ExpectBlock: expectBlocksV1(d)}
+		row := DefenseRow{Name: d.Name(), Title: d.Title(), ExpectBlock: d.Closes(true)}
 		runs, err := r.profileRuns(ctx, SuiteDefenses, profiles, func(p workload.Profile) []runReq {
 			return []runReq{
 				{p, withSec(spec, pipeline.SecurityConfig{Mechanism: core.Origin})},

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +46,26 @@ const (
 var Suites = []SuiteID{SuiteFig5, SuiteTable4, SuiteTable5, SuiteTable6,
 	SuiteScope, SuiteLRU, SuiteICache, SuiteDTLB, SuiteCompare, SuiteOverhead,
 	SuiteDefenses}
+
+// SuitesNamed expands a suite name (conspec-bench's -suite, a serve
+// JobSpec's suite) into the suites to run, in Suites order. "all" is every
+// suite but table5, and table5 runs as fig5: both come from one Evaluation,
+// which renders both tables. An unknown name errors listing the valid ones.
+func SuitesNamed(name string) ([]SuiteID, error) {
+	switch {
+	case name == "all":
+		return slices.DeleteFunc(slices.Clone(Suites), func(id SuiteID) bool { return id == SuiteTable5 }), nil
+	case name == string(SuiteTable5):
+		return []SuiteID{SuiteFig5}, nil
+	case slices.Contains(Suites, SuiteID(name)):
+		return []SuiteID{SuiteID(name)}, nil
+	}
+	valid := make([]string, 0, len(Suites)+1)
+	for _, id := range Suites {
+		valid = append(valid, string(id))
+	}
+	return nil, fmt.Errorf("unknown suite %q (valid: %s)", name, strings.Join(append(valid, "all"), ", "))
+}
 
 // EventPhase classifies a ProgressEvent.
 type EventPhase string
@@ -323,9 +345,11 @@ func keyOf(p workload.Profile, spec RunSpec) runKey {
 	return k
 }
 
-// mechLabel renders the run's security configuration for progress events.
+// mechLabel renders the run's security configuration for progress events,
+// titled by the registry row its (Mechanism, SSBD) identity names.
 func mechLabel(spec RunSpec) string {
-	l := spec.Sec.Mechanism.String()
+	d, _ := core.DefenseFor(spec.Sec.Mechanism, spec.Sec.SSBD) // pipeline.New panics on a mechanism without a row
+	l := d.Title()
 	if spec.Sec.Scope == core.ScopeBranchOnly {
 		l += " (branch-only)"
 	}

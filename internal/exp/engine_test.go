@@ -2,8 +2,10 @@ package exp
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,6 +54,50 @@ func TestCacheKeyDeterminism(t *testing.T) {
 		mutate(&mp, &ms)
 		if keyOf(mp, ms) == base {
 			t.Errorf("%s: single-field change must change the cache key", name)
+		}
+	}
+}
+
+// TestRunKeysPinned pins the memo run key of one tiny spec under every
+// registered defense. Stored results (the disk tier, a fleet's result
+// store) are addressed by these keys, so a change to SecurityConfig, to a
+// backend's Mechanism/SSBD identity or to keyOf's encoding must show up
+// here rather than as a silently cold cache.
+func TestRunKeysPinned(t *testing.T) {
+	want := map[string]string{
+		"origin":         "4ee03ded679de6e879dbc30e3c075a09e69923ad7493bc410fb863225912ca9e",
+		"baseline":       "c8d033c6dfbb3b655d375f088a837aef717c22d627e585c8d86050feb0b14e00",
+		"cachehit":       "9e423ce80f0f9ed85e7d99742182f643646f3c17bc588d00e12f343919a0f01f",
+		"cachehit+tpbuf": "73de33a2ebb46b6576cd70d5a081ad8e4c8d77c8809d525bf486137f4f31ea34",
+		"ssbd":           "dc01117f85b0a9c8c1c6dd7ef7204c446a20ea64ce6314acfa68cfc631e928cf",
+		"fence":          "7dbc91bfc5e1234576fdeae6d49dd7848bbe33613cedc687723888118f3ca180",
+		"delay-on-miss":  "7eabaa1e5aeb8023fd1ba290ce2b959e10568a040a9cbd8d432df054f2a2bc4b",
+		"invisispec":     "64a621fbea6bddb21a65dad1ce8ecfdfccf2cc1aa86d268085fc6f2ddc641545",
+	}
+	p, _ := workload.ByName("astar")
+	for _, d := range core.Defenses() {
+		k := keyOf(p, withSec(tinySpec(), SecFor(d)))
+		if got := hex.EncodeToString(k[:]); got != want[d.Name()] {
+			t.Errorf("%s: run key %s, want %s", d.Name(), got, want[d.Name()])
+		}
+	}
+	if len(want) != len(core.Defenses()) {
+		t.Errorf("%d pinned keys for %d registered defenses", len(want), len(core.Defenses()))
+	}
+}
+
+// TestMechLabel checks the progress-event label of a plain run is its
+// backend's title (an SSBD run is not labelled Origin), and that the
+// label — computed for every warm (memo-hit) run — looks its registry row
+// up without allocating.
+func TestMechLabel(t *testing.T) {
+	for _, d := range core.Defenses() {
+		spec := withSec(tinySpec(), SecFor(d))
+		if got := mechLabel(spec); got != d.Title() {
+			t.Errorf("%s: run labelled %q, want %q", d.Name(), got, d.Title())
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = mechLabel(spec) }); n != 0 {
+			t.Errorf("%s: mechLabel allocates %v times per call", d.Name(), n)
 		}
 	}
 }
@@ -391,6 +437,33 @@ func TestRunSuiteUnknown(t *testing.T) {
 	r := NewRunner(RunnerOptions{})
 	if _, err := r.RunSuite(context.Background(), SuiteID("nope"), Options{}); err == nil {
 		t.Fatal("unknown suite must error")
+	}
+}
+
+// TestSuitesNamed pins the suite-name expansion conspec-bench and serve
+// share: "all" skips table5, table5 runs as fig5, and an unknown name
+// errors listing every valid one.
+func TestSuitesNamed(t *testing.T) {
+	for name, want := range map[string][]SuiteID{
+		"all": {SuiteFig5, SuiteTable4, SuiteTable6, SuiteScope, SuiteLRU, SuiteICache,
+			SuiteDTLB, SuiteCompare, SuiteOverhead, SuiteDefenses},
+		"fig5":     {SuiteFig5},
+		"table5":   {SuiteFig5},
+		"defenses": {SuiteDefenses},
+	} {
+		got, err := SuitesNamed(name)
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("SuitesNamed(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	_, err := SuitesNamed("bogus")
+	if err == nil {
+		t.Fatal("unknown suite must error")
+	}
+	for _, id := range append(slices.Clone(Suites), "all") {
+		if !strings.Contains(err.Error(), string(id)) {
+			t.Errorf("error %q does not list %q", err, id)
+		}
 	}
 }
 

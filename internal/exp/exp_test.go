@@ -239,10 +239,10 @@ func TestTable4Driver(t *testing.T) {
 		t.Fatalf("got %d outcomes", len(outcomes))
 	}
 	for _, o := range outcomes {
-		if o.Mechanism == core.Origin.String() && !o.Leaked {
+		if o.Defense.Mechanism() == core.Origin && !o.Leaked {
 			t.Errorf("%s must leak on Origin", o.Scenario)
 		}
-		if o.Mechanism == core.Baseline.String() && o.Leaked {
+		if o.Defense.Mechanism() == core.Baseline && o.Leaked {
 			t.Errorf("%s must be defended by Baseline", o.Scenario)
 		}
 	}

@@ -287,7 +287,7 @@ func attackRows(outcomes []attack.Outcome) []AttackRow {
 	for _, o := range outcomes {
 		rows = append(rows, AttackRow{
 			Scenario:  o.Scenario,
-			Mechanism: o.Mechanism,
+			Mechanism: o.Defense.Title(),
 			Correct:   o.Correct,
 			Total:     len(o.Secret),
 			Leaked:    o.Leaked,

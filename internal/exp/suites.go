@@ -281,7 +281,7 @@ func (r *Runner) Table4(ctx context.Context, cfg config.Core) ([]attack.Outcome,
 			o := h.Run(cfg, pipeline.SecurityConfig{Mechanism: m})
 			out = append(out, o)
 			r.emit(ProgressEvent{Suite: SuiteTable4, Benchmark: o.Scenario,
-				Mechanism: o.Mechanism, Phase: PhaseBenchDone, Line: o.String()})
+				Mechanism: o.Defense.Title(), Phase: PhaseBenchDone, Line: o.String()})
 		}
 	}
 	return out, nil
@@ -298,14 +298,11 @@ func Table4Text(outcomes []attack.Outcome) string {
 		if o.Leaked {
 			status = "LEAKED"
 		}
-		// Expectation by mechanism name and scenario class.
-		h := o.Scenario
-		shared := !strings.Contains(h, "samepage")
 		want := "✓ defends"
-		if !attack.ExpectedDefense("", shared, o.Mechanism) {
+		if !o.Defense.Closes(o.SharedMemory) {
 			want = "✗ leaks"
 		}
-		tw.row(o.Scenario, o.Mechanism,
+		tw.row(o.Scenario, o.Defense.Title(),
 			fmt.Sprintf("%d/%d", o.Correct, len(o.Secret)), status, want)
 	}
 	tw.flush()

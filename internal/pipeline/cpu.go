@@ -222,10 +222,10 @@ type CPU struct {
 	hier *mem.Hierarchy
 	bp   *branch.Predictor
 
-	// def is sec.Mechanism's defense contract, resolved once at construction
-	// from the core defense registry (see defense.go). The cycle loop reads
-	// these plain flags instead of dispatching through the Defense interface,
-	// which is what keeps the steady state allocation- and virtual-call-free.
+	// def is sec's defense contract, resolved once at construction from the
+	// core defense registry (see defense.go). The cycle loop reads these
+	// plain flags instead of looking the backend up, which is what keeps the
+	// steady state allocation- and lookup-free.
 	def core.Hooks
 
 	secmat *core.SecMatrix

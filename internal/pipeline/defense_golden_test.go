@@ -1,71 +1,26 @@
 package pipeline
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"conspec/internal/core"
 	"conspec/internal/isa"
 )
 
-// runDefenseGolden executes the alloc kernel for a fixed cycle budget and
-// returns the full Result rendering plus the event trace. When ref is
-// non-nil the CPU's resolved hook set is replaced before the first cycle,
-// simulating the pre-refactor predicate path.
-func runDefenseGolden(t *testing.T, sec SecurityConfig, ref *core.Hooks) (string, string) {
-	t.Helper()
-	prog := allocKernel()
-	backing := isa.NewFlatMem()
-	prog.Load(backing)
-	cpu := NewWithMemory(smallCore(), sec, backing)
-	if ref != nil {
-		cpu.def = *ref
-	}
-	var trace bytes.Buffer
-	cpu.AttachTracer(&trace)
-	cpu.SetPC(prog.Base)
-	res := cpu.Run(20_000)
-	if err := cpu.FlushSinks(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if err := cpu.CheckInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-	res.Diag = "" // free-text diagnostics are not part of the golden surface
-	return fmt.Sprintf("%#v", res), trace.String()
-}
-
-// TestDefenseHooksGolden is the pipeline half of the differential golden
-// test: each paper mechanism runs once with the hook set resolved through
-// the Defense registry and once with the pre-refactor reference table
-// (core.ReferenceHooks) forced in. Stats and the event trace must be
-// byte-identical — the registry refactor changed where the flags come from,
-// not what the machine does.
+// TestDefenseHooksGolden checks that the CPU runs under exactly the hook
+// set of the backend its SecurityConfig names, for every registry row
+// resolved by name. The rows' literal hook values are pinned by core's
+// TestHooksMatchReference.
 func TestDefenseHooksGolden(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		sec  SecurityConfig
-	}{
-		{"origin", SecurityConfig{Mechanism: core.Origin}},
-		{"baseline", SecurityConfig{Mechanism: core.Baseline, Scope: core.ScopeBranchMem}},
-		{"cachehit", SecurityConfig{Mechanism: core.CacheHit, Scope: core.ScopeBranchMem}},
-		{"cachehit+tpbuf", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}},
-		{"invisispec", SecurityConfig{Mechanism: core.InvisiSpec}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ref, ok := core.ReferenceHooks(tc.sec.Mechanism)
-			if !ok {
-				t.Fatalf("no reference hooks for %v", tc.sec.Mechanism)
+	for _, name := range core.DefenseNames() {
+		t.Run(name, func(t *testing.T) {
+			d, err := core.LookupDefense(name)
+			if err != nil {
+				t.Fatal(err)
 			}
-			gotStats, gotTrace := runDefenseGolden(t, tc.sec, nil)
-			refStats, refTrace := runDefenseGolden(t, tc.sec, &ref)
-			if gotStats != refStats {
-				t.Errorf("stats diverge from the reference predicate path:\nregistry: %s\nreference: %s",
-					gotStats, refStats)
-			}
-			if gotTrace != refTrace {
-				t.Error("event trace diverges from the reference predicate path")
+			cpu := NewWithMemory(smallCore(), SecurityConfig{Mechanism: d.Mechanism(), SSBD: d.SSBD()}, isa.NewFlatMem())
+			if cpu.def != d.Hooks() {
+				t.Errorf("CPU hooks %+v, want the row's %+v", cpu.def, d.Hooks())
 			}
 		})
 	}

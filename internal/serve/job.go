@@ -72,31 +72,10 @@ type JobSpec struct {
 	FlightWindow uint64 `json:"flight_window,omitempty"`
 }
 
-// suiteIDs validates Suite and expands "all". Table5 is omitted from the
-// expansion because it is the same evaluation as fig5; AddSuite fills both
-// sections from either.
-func (s JobSpec) suiteIDs() ([]exp.SuiteID, error) {
-	if s.Suite == "all" {
-		ids := make([]exp.SuiteID, 0, len(exp.Suites))
-		for _, id := range exp.Suites {
-			if id != exp.SuiteTable5 {
-				ids = append(ids, id)
-			}
-		}
-		return ids, nil
-	}
-	for _, id := range exp.Suites {
-		if exp.SuiteID(s.Suite) == id {
-			return []exp.SuiteID{id}, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown suite %q", s.Suite)
-}
-
 // validate rejects a spec the workers could not execute, so submission is
 // the only place a client sees a 400 rather than a failed job.
 func (s JobSpec) validate() error {
-	if _, err := s.suiteIDs(); err != nil {
+	if _, err := exp.SuitesNamed(s.Suite); err != nil {
 		return err
 	}
 	for _, name := range s.Benches {

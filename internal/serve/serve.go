@@ -485,7 +485,7 @@ func ExecuteSpec(ctx context.Context, js JobSpec, o ExecOptions, emit func(exp.P
 	if js.Workers > 0 && (workers <= 0 || js.Workers < workers) {
 		workers = js.Workers
 	}
-	suites, err := js.suiteIDs() // validated at submit; re-checked for defense
+	suites, err := exp.SuitesNamed(js.Suite) // validated at submit; re-checked for defense
 	if err != nil {
 		return nil, exp.Stats{}, 0, err
 	}
