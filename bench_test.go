@@ -55,9 +55,9 @@ func BenchmarkFig5(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*ev.AverageOverhead(core.Baseline), "baseline-ovh-%")
-		b.ReportMetric(100*ev.AverageOverhead(core.CacheHit), "cachehit-ovh-%")
-		b.ReportMetric(100*ev.AverageOverhead(core.CacheHitTPBuf), "tpbuf-ovh-%")
+		b.ReportMetric(100*ev.Fig5.Avg.Baseline, "baseline-ovh-%")
+		b.ReportMetric(100*ev.Fig5.Avg.CacheHit, "cachehit-ovh-%")
+		b.ReportMetric(100*ev.Fig5.Avg.TPBuf, "tpbuf-ovh-%")
 	}
 }
 

@@ -142,8 +142,8 @@ func main() {
 		fatal(err)
 	}
 
-	for _, id := range suites {
-		res, err := runner.RunSuite(ctx, id, opts)
+	for _, s := range suites {
+		res, err := runner.RunSuite(ctx, s.ID, opts)
 		if err != nil {
 			fail(err)
 		}
@@ -151,12 +151,8 @@ func main() {
 			rep.AddSuite(res)
 			continue
 		}
-		fmt.Println(banners[id])
+		fmt.Println(s.Banner)
 		fmt.Println(res.Text())
-		if id == exp.SuiteFig5 {
-			fmt.Println("=== Table V: filter analysis ===")
-			fmt.Println(res.Evaluation().Table5Text())
-		}
 	}
 	// Failed runs (deadlocks, audit violations, cycle caps, timeouts) were
 	// excluded from the suite aggregates above; summarize them here and make
@@ -178,20 +174,6 @@ func main() {
 		profStop()
 		os.Exit(1)
 	}
-}
-
-// banners heads each suite's text output.
-var banners = map[exp.SuiteID]string{
-	exp.SuiteFig5:     "=== Figure 5: runtime normalized to Origin ===",
-	exp.SuiteTable4:   "=== Table IV: security analysis ===",
-	exp.SuiteTable6:   "=== Table VI: core sensitivity ===",
-	exp.SuiteScope:    "=== §VI.C(1): matrix scope decomposition ===",
-	exp.SuiteLRU:      "=== §VII.A: secure replacement-update policies ===",
-	exp.SuiteICache:   "=== §VII.B: ICache-hit filter extension ===",
-	exp.SuiteDTLB:     "=== DTLB-hit filter extension ===",
-	exp.SuiteCompare:  "=== Defense comparison: CH+TPBuf vs InvisiSpec vs SW fence ===",
-	exp.SuiteOverhead: "=== §VI.E: hardware overhead model ===",
-	exp.SuiteDefenses: "=== Defense matrix: overhead vs Spectre V1 verdict ===",
 }
 
 // writeTrace exports the invocation's span trace as Chrome trace-event

@@ -12,18 +12,18 @@ import (
 
 // CompareRow holds one benchmark's overheads for the defense comparison.
 type CompareRow struct {
-	Benchmark string
-	TPBuf     float64 // Cache-hit + TPBuf (the paper's mechanism)
-	Invisi    float64 // InvisiSpec-like comparator
-	SWFence   float64 // LFENCE-style software mitigation
+	Benchmark string  `json:"benchmark"`
+	TPBuf     float64 `json:"chtpbuf_overhead"`    // Cache-hit + TPBuf (the paper's mechanism)
+	Invisi    float64 `json:"invisispec_overhead"` // InvisiSpec-like comparator
+	SWFence   float64 `json:"sw_fence_overhead"`   // LFENCE-style software mitigation
 }
 
 // CompareResult is the head-to-head defense comparison: the paper's full
 // mechanism, the InvisiSpec-like related-work comparator, and the software
 // fence mitigation (§VIII), all against the same Origin runs.
 type CompareResult struct {
-	Rows []CompareRow
-	Avg  CompareRow
+	Rows []CompareRow `json:"rows"`
+	Avg  CompareRow   `json:"average"`
 }
 
 // Compare measures the three defenses across the benchmarks. The Origin
@@ -56,12 +56,9 @@ func (r *Runner) Compare(ctx context.Context, spec RunSpec, names []string) (*Co
 		return nil, err
 	}
 	out := &CompareResult{}
-	n := float64(len(profiles))
-	for i, res := range runs {
-		if res == nil {
-			continue
-		}
-		row := compareRow(profiles[i].Name, res)
+	n := float64(len(runs))
+	for _, pr := range runs {
+		row := compareRow(pr.p.Name, pr.res)
 		out.Rows = append(out.Rows, row)
 		out.Avg.TPBuf += row.TPBuf / n
 		out.Avg.Invisi += row.Invisi / n
@@ -84,7 +81,6 @@ func CompareText(r *CompareResult) string {
 	tw := newTable(&sb)
 	tw.row("Benchmark", "CH+TPBuf", "InvisiSpec", "SW fence")
 	tw.sep()
-	pct := func(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 	for _, row := range r.Rows {
 		tw.row(row.Benchmark, pct(row.TPBuf), pct(row.Invisi), pct(row.SWFence))
 	}

@@ -451,7 +451,11 @@ func TestSuitesNamed(t *testing.T) {
 		"table5":   {SuiteFig5},
 		"defenses": {SuiteDefenses},
 	} {
-		got, err := SuitesNamed(name)
+		rows, err := SuitesNamed(name)
+		var got []SuiteID
+		for _, s := range rows {
+			got = append(got, s.ID)
+		}
 		if err != nil || !slices.Equal(got, want) {
 			t.Errorf("SuitesNamed(%q) = %v, %v; want %v", name, got, err, want)
 		}
@@ -460,29 +464,32 @@ func TestSuitesNamed(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown suite must error")
 	}
-	for _, id := range append(slices.Clone(Suites), "all") {
-		if !strings.Contains(err.Error(), string(id)) {
-			t.Errorf("error %q does not list %q", err, id)
+	for _, s := range Suites {
+		for _, name := range []string{string(s.ID), s.Alias, "all"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("error %q does not list %q", err, name)
+			}
 		}
 	}
 }
 
-// TestRunSuiteTypedGetters checks each suite routes to its typed result.
+// TestRunSuiteTypedGetters checks each suite routes to its typed result,
+// and the table5 alias to the fig5 row.
 func TestRunSuiteTypedGetters(t *testing.T) {
 	r := NewRunner(RunnerOptions{})
 	opts := Options{Spec: tinySpec(), Benches: []string{"astar"}}
 	ctx := context.Background()
 
-	res, err := r.RunSuite(ctx, SuiteFig5, opts)
-	if err != nil || res.Evaluation() == nil {
-		t.Fatalf("fig5: %v / %v", err, res)
+	res, err := r.RunSuite(ctx, "table5", opts)
+	if ev, ok := res.Value.(*Evaluation); err != nil || !ok || ev == nil || res.Suite != SuiteFig5 {
+		t.Fatalf("table5: %v / %+v", err, res)
 	}
-	if res.Text() == "" || !strings.Contains(res.Text(), "Average") {
-		t.Error("fig5 text rendering empty")
+	if !strings.Contains(res.Text(), "Average") || !strings.Contains(res.Text(), "TP:Mismatch") {
+		t.Errorf("fig5 text must render Figure 5 and Table V:\n%s", res.Text())
 	}
 	res, err = r.RunSuite(ctx, SuiteLRU, opts)
-	if err != nil || res.LRU() == nil {
-		t.Fatalf("lru: %v / %v", err, res)
+	if lru, ok := res.Value.(*LRUResult); err != nil || !ok || lru == nil {
+		t.Fatalf("lru: %v / %+v", err, res)
 	}
 	res, err = r.RunSuite(ctx, SuiteOverhead, opts)
 	if err != nil || !strings.Contains(res.Text(), "TPBuf") {

@@ -22,11 +22,48 @@ func (b BenchResult) Overhead(m core.Mechanism) float64 {
 	return Overhead(b.Results[core.Origin], b.Results[m])
 }
 
+// OverheadRow is one benchmark's runtime overheads vs Origin under the
+// three defense mechanisms: a Figure 5 bar group (plotted as 1+overhead)
+// or a Table VI row.
+type OverheadRow struct {
+	Benchmark string  `json:"benchmark"`
+	Baseline  float64 `json:"baseline_overhead"`
+	CacheHit  float64 `json:"cachehit_overhead"`
+	TPBuf     float64 `json:"tpbuf_overhead"`
+}
+
+// OverheadTable is one core's overhead rows and their average: Figure 5 on
+// the paper core, one core of Table VI.
+type OverheadTable struct {
+	Core string        `json:"core"`
+	Rows []OverheadRow `json:"rows"`
+	Avg  OverheadRow   `json:"average"`
+}
+
+// Table5Row is one benchmark's Table V filter analysis.
+type Table5Row struct {
+	Benchmark       string  `json:"benchmark"`
+	L1HitRate       float64 `json:"l1_hit_rate"`
+	BaselineBlocked float64 `json:"baseline_blocked_rate"`
+	CacheHitBlocked float64 `json:"cachehit_blocked_rate"`
+	SpecHitRate     float64 `json:"speculative_hit_rate"`
+	TPBufBlocked    float64 `json:"tpbuf_blocked_rate"`
+	MismatchRate    float64 `json:"spattern_mismatch_rate"`
+}
+
 // Evaluation is the shared dataset behind Figure 5 and Table V: every
 // benchmark run under every mechanism with identical instruction budgets.
+// Benches holds every requested benchmark, a failed run's mechanism
+// missing from its Results. Fig5 and Table5 (with its average, Table5Avg)
+// are computed once from the benchmarks whose runs all completed, in
+// request order; a benchmark with a failed run has no row and is not
+// averaged over.
 type Evaluation struct {
-	Spec    RunSpec
-	Benches []BenchResult
+	Spec      RunSpec
+	Benches   []BenchResult
+	Fig5      OverheadTable
+	Table5    []Table5Row
+	Table5Avg Table5Row
 }
 
 // Evaluation measures the named benchmarks (all 22 when names is nil)
@@ -75,31 +112,55 @@ func (r *Runner) evaluation(ctx context.Context, suite SuiteID, spec RunSpec, na
 		}
 		return nil
 	})
+	ev.tabulate()
 	return ev, err
 }
 
-// AverageOverhead returns the arithmetic-mean overhead of m across benches.
-func (e *Evaluation) AverageOverhead(m core.Mechanism) float64 {
-	if len(e.Benches) == 0 {
-		return 0
-	}
-	sum := 0.0
+// tabulate computes the Figure 5 and Table V rows and averages.
+func (e *Evaluation) tabulate() {
+	e.Fig5.Core = e.Spec.Core.Name
 	for _, b := range e.Benches {
-		sum += b.Overhead(m)
+		if len(b.Results) < len(core.Mechanisms) {
+			continue
+		}
+		e.Fig5.Rows = append(e.Fig5.Rows, OverheadRow{Benchmark: b.Name,
+			Baseline: b.Overhead(core.Baseline), CacheHit: b.Overhead(core.CacheHit),
+			TPBuf: b.Overhead(core.CacheHitTPBuf)})
+		ch, tp := b.Results[core.CacheHit], b.Results[core.CacheHitTPBuf]
+		e.Table5 = append(e.Table5, Table5Row{Benchmark: b.Name,
+			L1HitRate:       b.Results[core.Origin].L1D.HitRate(),
+			BaselineBlocked: b.Results[core.Baseline].Filter.BlockedRate(),
+			CacheHitBlocked: ch.Filter.BlockedRate(),
+			SpecHitRate:     ch.Filter.SpecHitRate(),
+			TPBufBlocked:    tp.Filter.BlockedRate(),
+			MismatchRate:    tp.TPBuf.MismatchRate()})
 	}
-	return sum / float64(len(e.Benches))
+	rows := e.Fig5.Rows
+	e.Fig5.Avg = OverheadRow{Benchmark: "Average",
+		Baseline: mean(rows, func(r OverheadRow) float64 { return r.Baseline }),
+		CacheHit: mean(rows, func(r OverheadRow) float64 { return r.CacheHit }),
+		TPBuf:    mean(rows, func(r OverheadRow) float64 { return r.TPBuf })}
+	t5 := e.Table5
+	e.Table5Avg = Table5Row{Benchmark: "Average",
+		L1HitRate:       mean(t5, func(r Table5Row) float64 { return r.L1HitRate }),
+		BaselineBlocked: mean(t5, func(r Table5Row) float64 { return r.BaselineBlocked }),
+		CacheHitBlocked: mean(t5, func(r Table5Row) float64 { return r.CacheHitBlocked }),
+		SpecHitRate:     mean(t5, func(r Table5Row) float64 { return r.SpecHitRate }),
+		TPBufBlocked:    mean(t5, func(r Table5Row) float64 { return r.TPBufBlocked }),
+		MismatchRate:    mean(t5, func(r Table5Row) float64 { return r.MismatchRate })}
 }
 
-// averageRate averages f over benches.
-func (e *Evaluation) averageRate(f func(BenchResult) float64) float64 {
-	if len(e.Benches) == 0 {
+// mean sums f over rows in row order and divides by their count; no rows
+// average to 0, not NaN, which encoding/json rejects.
+func mean[R any](rows []R, f func(R) float64) float64 {
+	if len(rows) == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, b := range e.Benches {
-		sum += f(b)
+	for _, r := range rows {
+		sum += f(r)
 	}
-	return sum / float64(len(e.Benches))
+	return sum / float64(len(rows))
 }
 
 // Fig5Text renders Figure 5: per-benchmark runtime normalized to Origin for
@@ -109,22 +170,23 @@ func (e *Evaluation) averageRate(f func(BenchResult) float64) float64 {
 func (e *Evaluation) Fig5Text() string {
 	var sb strings.Builder
 	tw := newTable(&sb)
-	tw.row("Benchmark", "Baseline", "Cache-hit", "CH+TPBuf")
-	tw.sep()
-	for _, b := range e.Benches {
-		tw.row(b.Name,
-			fmt.Sprintf("%.3f", 1+b.Overhead(core.Baseline)),
-			fmt.Sprintf("%.3f", 1+b.Overhead(core.CacheHit)),
-			fmt.Sprintf("%.3f", 1+b.Overhead(core.CacheHitTPBuf)))
-	}
-	tw.sep()
-	tw.row("Average",
-		fmt.Sprintf("%.3f", 1+e.AverageOverhead(core.Baseline)),
-		fmt.Sprintf("%.3f", 1+e.AverageOverhead(core.CacheHit)),
-		fmt.Sprintf("%.3f", 1+e.AverageOverhead(core.CacheHitTPBuf)))
+	writeOverheads(tw, e.Fig5, func(v float64) string { return fmt.Sprintf("%.3f", 1+v) })
 	tw.row("Paper avg", "1.536", "1.128", "1.068")
 	tw.flush()
 	return sb.String()
+}
+
+// writeOverheads writes an overhead table's header, rows and average, each
+// overhead formatted by cell.
+func writeOverheads(tw *table, t OverheadTable, cell func(float64) string) {
+	tw.row("Benchmark", "Baseline", "Cache-hit", "CH+TPBuf")
+	tw.sep()
+	row := func(r OverheadRow) { tw.row(r.Benchmark, cell(r.Baseline), cell(r.CacheHit), cell(r.TPBuf)) }
+	for _, r := range t.Rows {
+		row(r)
+	}
+	tw.sep()
+	row(t.Avg)
 }
 
 // Table5Text renders Table V: the filter analysis.
@@ -133,28 +195,15 @@ func (e *Evaluation) Table5Text() string {
 	tw := newTable(&sb)
 	tw.row("Benchmark", "L1Hit", "Base:Blocked", "CH:Blocked", "CH:SpecHit", "TP:Blocked", "TP:Mismatch")
 	tw.sep()
-	pct := func(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
-	for _, b := range e.Benches {
-		or := b.Results[core.Origin]
-		ba := b.Results[core.Baseline]
-		ch := b.Results[core.CacheHit]
-		tp := b.Results[core.CacheHitTPBuf]
-		tw.row(b.Name,
-			pct(or.L1D.HitRate()),
-			pct(ba.Filter.BlockedRate()),
-			pct(ch.Filter.BlockedRate()),
-			pct(ch.Filter.SpecHitRate()),
-			pct(tp.Filter.BlockedRate()),
-			pct(tp.TPBuf.MismatchRate()))
+	row := func(r Table5Row) {
+		tw.row(r.Benchmark, pct(r.L1HitRate), pct(r.BaselineBlocked), pct(r.CacheHitBlocked),
+			pct(r.SpecHitRate), pct(r.TPBufBlocked), pct(r.MismatchRate))
+	}
+	for _, r := range e.Table5 {
+		row(r)
 	}
 	tw.sep()
-	tw.row("Average",
-		pct(e.averageRate(func(b BenchResult) float64 { return b.Results[core.Origin].L1D.HitRate() })),
-		pct(e.averageRate(func(b BenchResult) float64 { return b.Results[core.Baseline].Filter.BlockedRate() })),
-		pct(e.averageRate(func(b BenchResult) float64 { return b.Results[core.CacheHit].Filter.BlockedRate() })),
-		pct(e.averageRate(func(b BenchResult) float64 { return b.Results[core.CacheHit].Filter.SpecHitRate() })),
-		pct(e.averageRate(func(b BenchResult) float64 { return b.Results[core.CacheHitTPBuf].Filter.BlockedRate() })),
-		pct(e.averageRate(func(b BenchResult) float64 { return b.Results[core.CacheHitTPBuf].TPBuf.MismatchRate() })))
+	row(e.Table5Avg)
 	tw.row("Paper avg", "88.7%", "73.6%", "3.6%", "89.6%", "1.7%", "18.2%")
 	tw.flush()
 	return sb.String()

@@ -60,3 +60,6 @@ func (t *table) flush() {
 		fmt.Fprintln(t.w, strings.Repeat("-", total))
 	}
 }
+
+// pct formats a fraction as a one-decimal percentage.
+func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }

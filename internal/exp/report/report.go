@@ -15,10 +15,10 @@ import (
 	"conspec/internal/core"
 	"conspec/internal/exp"
 	"conspec/internal/obs"
-	"conspec/internal/workload"
 )
 
-// Fig5Row is one benchmark's normalized runtimes.
+// Fig5Row is one benchmark's Figure 5 bar group: runtime normalized to
+// Origin, 1+overhead of exp's row.
 type Fig5Row struct {
 	Benchmark string  `json:"benchmark"`
 	Baseline  float64 `json:"baseline"`
@@ -26,94 +26,18 @@ type Fig5Row struct {
 	TPBuf     float64 `json:"tpbuf"`
 }
 
-// Table5Row is one benchmark's filter analysis.
-type Table5Row struct {
-	Benchmark       string  `json:"benchmark"`
-	L1HitRate       float64 `json:"l1_hit_rate"`
-	BaselineBlocked float64 `json:"baseline_blocked_rate"`
-	CacheHitBlocked float64 `json:"cachehit_blocked_rate"`
-	SpecHitRate     float64 `json:"speculative_hit_rate"`
-	TPBufBlocked    float64 `json:"tpbuf_blocked_rate"`
-	MismatchRate    float64 `json:"spattern_mismatch_rate"`
-}
-
-// AttackRow is one Table IV cell.
+// AttackRow is one Table IV cell: an attack.Outcome's scenario, defense
+// title and byte counts.
 type AttackRow struct {
 	Scenario  string `json:"scenario"`
-	Class     string `json:"class,omitempty"`
 	Mechanism string `json:"mechanism"`
 	Correct   int    `json:"bytes_recovered"`
 	Total     int    `json:"bytes_total"`
 	Leaked    bool   `json:"leaked"`
 }
 
-// Table6Row is one benchmark's overheads on one sensitivity core.
-type Table6Row struct {
-	Benchmark string  `json:"benchmark"`
-	Baseline  float64 `json:"baseline_overhead"`
-	CacheHit  float64 `json:"cachehit_overhead"`
-	TPBuf     float64 `json:"tpbuf_overhead"`
-}
-
-// Table6Core is Table VI for one core.
-type Table6Core struct {
-	Core    string      `json:"core"`
-	Rows    []Table6Row `json:"rows"`
-	Average Table6Row   `json:"average"`
-}
-
-// ScopeRow is one benchmark's §VI.C(1) decomposition.
-type ScopeRow struct {
-	Benchmark            string  `json:"benchmark"`
-	BranchOnly           float64 `json:"branch_only_overhead"`
-	Full                 float64 `json:"full_matrix_overhead"`
-	UnresolvedBranchFrac float64 `json:"unresolved_branch_frac"`
-}
-
-// Scope is the §VI.C(1) suite.
-type Scope struct {
-	Rows          []ScopeRow `json:"rows"`
-	BranchOnlyAvg float64    `json:"branch_only_avg"`
-	FullAvg       float64    `json:"full_matrix_avg"`
-}
-
-// LRU is the §VII.A replacement-update study.
-type LRU struct {
-	Always   float64 `json:"conventional_update_overhead"`
-	NoUpdate float64 `json:"no_update_overhead"`
-	Delayed  float64 `json:"delayed_update_overhead"`
-}
-
-// ICache is the §VII.B filter study.
-type ICache struct {
-	Without     float64           `json:"overhead_without"`
-	With        float64           `json:"overhead_with"`
-	FetchStalls map[string]uint64 `json:"fetch_stalls"`
-}
-
-// DTLB is the DTLB-filter study.
-type DTLB struct {
-	Without float64           `json:"overhead_without"`
-	With    float64           `json:"overhead_with"`
-	Blocks  map[string]uint64 `json:"filter_blocks"`
-}
-
-// CompareRow is one benchmark's defense-comparison overheads.
-type CompareRow struct {
-	Benchmark string  `json:"benchmark"`
-	TPBuf     float64 `json:"chtpbuf_overhead"`
-	Invisi    float64 `json:"invisispec_overhead"`
-	SWFence   float64 `json:"sw_fence_overhead"`
-}
-
-// Compare is the defense comparison suite.
-type Compare struct {
-	Rows    []CompareRow `json:"rows"`
-	Average CompareRow   `json:"average"`
-}
-
 // DefenseRow is one registered backend's overhead-vs-security position in
-// the defenses suite.
+// the defenses suite, its overhead as normalized runtime.
 type DefenseRow struct {
 	Defense        string  `json:"defense"`
 	Backend        string  `json:"backend"`
@@ -163,27 +87,29 @@ func Engine(st exp.Stats) *EngineStats {
 
 // Report aggregates whatever suites ran. The fig5/table5/table4 fields
 // keep their original names and positions so single-suite JSON output is
-// unchanged; the remaining suites follow in -suite all order. Build stamps
-// the producing binary into every document. Errors lists failed runs
-// excluded from the aggregates (their wire shape is pinned by
+// unchanged; the remaining suites follow in -suite all order. Most suites
+// appear as exp's own result types, which carry the JSON tags; the wire
+// types above exist only where the wire value differs from exp's. Build
+// stamps the producing binary into every document. Errors lists failed
+// runs excluded from the aggregates (their wire shape is pinned by
 // exp.RunError's MarshalJSON); a document with a non-empty errors array is
 // partial. Engine carries the scheduler/cache-tier counters.
 type Report struct {
-	Build    buildinfo.Info `json:"build"`
-	Fig5     []Fig5Row      `json:"fig5,omitempty"`
-	Table5   []Table5Row    `json:"table5,omitempty"`
-	Table4   []AttackRow    `json:"table4,omitempty"`
-	Table6   []Table6Core   `json:"table6,omitempty"`
-	Scope    *Scope         `json:"scope,omitempty"`
-	LRU      *LRU           `json:"lru,omitempty"`
-	ICache   *ICache        `json:"icache,omitempty"`
-	DTLB     *DTLB          `json:"dtlb,omitempty"`
-	Compare  *Compare       `json:"compare,omitempty"`
-	Defenses []DefenseRow   `json:"defenses,omitempty"`
-	Overhead string         `json:"overhead_text,omitempty"`
-	Series   []SeriesEntry  `json:"series,omitempty"`
-	Errors   []exp.RunError `json:"errors,omitempty"`
-	Engine   *EngineStats   `json:"engine,omitempty"`
+	Build    buildinfo.Info      `json:"build"`
+	Fig5     []Fig5Row           `json:"fig5,omitempty"`
+	Table5   []exp.Table5Row     `json:"table5,omitempty"`
+	Table4   []AttackRow         `json:"table4,omitempty"`
+	Table6   []exp.OverheadTable `json:"table6,omitempty"`
+	Scope    *exp.ScopeResult    `json:"scope,omitempty"`
+	LRU      *exp.LRUResult      `json:"lru,omitempty"`
+	ICache   *exp.ICacheResult   `json:"icache,omitempty"`
+	DTLB     *exp.DTLBResult     `json:"dtlb,omitempty"`
+	Compare  *exp.CompareResult  `json:"compare,omitempty"`
+	Defenses []DefenseRow        `json:"defenses,omitempty"`
+	Overhead string              `json:"overhead_text,omitempty"`
+	Series   []SeriesEntry       `json:"series,omitempty"`
+	Errors   []exp.RunError      `json:"errors,omitempty"`
+	Engine   *EngineStats        `json:"engine,omitempty"`
 }
 
 // New returns a Report stamped with the running binary's build identity.
@@ -191,37 +117,46 @@ func New() *Report {
 	return &Report{Build: buildinfo.Get()}
 }
 
-// AddSuite folds one suite's typed result into the document. Fig5 and
-// Table5 come from the same evaluation: adding either fills both (plus the
-// per-run time series, when sampled).
+// AddSuite folds one suite's typed result into the document. The fig5
+// suite's Evaluation fills fig5, table5 and, when sampled, the per-run
+// time series.
 func (r *Report) AddSuite(res *exp.SuiteResult) {
-	switch res.Suite {
-	case exp.SuiteFig5, exp.SuiteTable5:
-		ev := res.Evaluation()
-		r.Fig5 = fig5Rows(ev)
-		r.Table5 = table5Rows(ev)
-		r.Series = seriesEntries(ev)
-	case exp.SuiteTable4:
-		r.Table4 = attackRows(res.Table4())
-	case exp.SuiteTable6:
-		r.Table6 = table6Cores(res.Table6())
-	case exp.SuiteScope:
-		r.Scope = scopeDoc(res.Scope())
-	case exp.SuiteLRU:
-		v := res.LRU()
-		r.LRU = &LRU{Always: v.Always, NoUpdate: v.NoUpdate, Delayed: v.Delayed}
-	case exp.SuiteICache:
-		v := res.ICache()
-		r.ICache = &ICache{Without: v.Without, With: v.With, FetchStalls: v.Stalls}
-	case exp.SuiteDTLB:
-		v := res.DTLB()
-		r.DTLB = &DTLB{Without: v.Without, With: v.With, Blocks: v.Blocks}
-	case exp.SuiteCompare:
-		r.Compare = compareDoc(res.Compare())
-	case exp.SuiteDefenses:
-		r.Defenses = defenseRows(res.Defenses())
-	case exp.SuiteOverhead:
-		r.Overhead = res.Text()
+	switch v := res.Value.(type) {
+	case *exp.Evaluation:
+		r.Fig5 = make([]Fig5Row, 0, len(v.Fig5.Rows))
+		for _, b := range v.Fig5.Rows {
+			r.Fig5 = append(r.Fig5, Fig5Row{Benchmark: b.Benchmark,
+				Baseline: 1 + b.Baseline, CacheHit: 1 + b.CacheHit, TPBuf: 1 + b.TPBuf})
+		}
+		r.Table5 = v.Table5
+		r.Series = seriesEntries(v)
+	case []attack.Outcome:
+		r.Table4 = make([]AttackRow, 0, len(v))
+		for _, o := range v {
+			r.Table4 = append(r.Table4, AttackRow{Scenario: o.Scenario, Mechanism: o.Defense.Title(),
+				Correct: o.Correct, Total: len(o.Secret), Leaked: o.Leaked})
+		}
+	case []exp.OverheadTable:
+		r.Table6 = v
+	case *exp.ScopeResult:
+		r.Scope = v
+	case *exp.LRUResult:
+		r.LRU = v
+	case *exp.ICacheResult:
+		r.ICache = v
+	case *exp.DTLBResult:
+		r.DTLB = v
+	case *exp.CompareResult:
+		r.Compare = v
+	case *exp.DefensesResult:
+		r.Defenses = make([]DefenseRow, 0, len(v.Rows))
+		for _, d := range v.Rows {
+			r.Defenses = append(r.Defenses, DefenseRow{Defense: d.Name, Backend: d.Title,
+				NormRuntime: 1 + d.Overhead, Leaked: d.Leaked, BytesRecovered: d.Recovered,
+				BytesTotal: d.SecretLen, ExpectBlock: d.ExpectBlock})
+		}
+	case string: // the overhead model's text
+		r.Overhead = v
 	}
 }
 
@@ -238,35 +173,6 @@ func (r *Report) Encode(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-func fig5Rows(ev *exp.Evaluation) []Fig5Row {
-	rows := make([]Fig5Row, 0, len(ev.Benches))
-	for _, b := range ev.Benches {
-		rows = append(rows, Fig5Row{
-			Benchmark: b.Name,
-			Baseline:  1 + b.Overhead(core.Baseline),
-			CacheHit:  1 + b.Overhead(core.CacheHit),
-			TPBuf:     1 + b.Overhead(core.CacheHitTPBuf),
-		})
-	}
-	return rows
-}
-
-func table5Rows(ev *exp.Evaluation) []Table5Row {
-	rows := make([]Table5Row, 0, len(ev.Benches))
-	for _, b := range ev.Benches {
-		rows = append(rows, Table5Row{
-			Benchmark:       b.Name,
-			L1HitRate:       b.Results[core.Origin].L1D.HitRate(),
-			BaselineBlocked: b.Results[core.Baseline].Filter.BlockedRate(),
-			CacheHitBlocked: b.Results[core.CacheHit].Filter.BlockedRate(),
-			SpecHitRate:     b.Results[core.CacheHit].Filter.SpecHitRate(),
-			TPBufBlocked:    b.Results[core.CacheHitTPBuf].Filter.BlockedRate(),
-			MismatchRate:    b.Results[core.CacheHitTPBuf].TPBuf.MismatchRate(),
-		})
-	}
-	return rows
-}
-
 // seriesEntries collects the per-run metric time series out of an
 // evaluation, in benchmark then mechanism order. Empty unless the runs
 // were executed with a non-zero MetricsInterval.
@@ -278,96 +184,6 @@ func seriesEntries(ev *exp.Evaluation) []SeriesEntry {
 				out = append(out, SeriesEntry{Benchmark: b.Name, Mechanism: m.String(), Series: s})
 			}
 		}
-	}
-	return out
-}
-
-func attackRows(outcomes []attack.Outcome) []AttackRow {
-	rows := make([]AttackRow, 0, len(outcomes))
-	for _, o := range outcomes {
-		rows = append(rows, AttackRow{
-			Scenario:  o.Scenario,
-			Mechanism: o.Defense.Title(),
-			Correct:   o.Correct,
-			Total:     len(o.Secret),
-			Leaked:    o.Leaked,
-		})
-	}
-	return rows
-}
-
-func table6Cores(cores []exp.Table6Core) []Table6Core {
-	out := make([]Table6Core, 0, len(cores))
-	for _, tc := range cores {
-		jc := Table6Core{
-			Core: tc.Core,
-			Average: Table6Row{
-				Benchmark: tc.Avg.Benchmark,
-				Baseline:  tc.Avg.Baseline,
-				CacheHit:  tc.Avg.CacheHit,
-				TPBuf:     tc.Avg.TPBuf,
-			},
-		}
-		for _, r := range tc.Rows {
-			jc.Rows = append(jc.Rows, Table6Row{
-				Benchmark: r.Benchmark,
-				Baseline:  r.Baseline,
-				CacheHit:  r.CacheHit,
-				TPBuf:     r.TPBuf,
-			})
-		}
-		out = append(out, jc)
-	}
-	return out
-}
-
-func scopeDoc(r *exp.ScopeResult) *Scope {
-	out := &Scope{BranchOnlyAvg: r.BranchOnlyAvg, FullAvg: r.FullAvg}
-	for _, name := range workload.Names() {
-		v, ok := r.PerBench[name]
-		if !ok {
-			continue
-		}
-		out.Rows = append(out.Rows, ScopeRow{
-			Benchmark:            name,
-			BranchOnly:           v[0],
-			Full:                 v[1],
-			UnresolvedBranchFrac: r.UnresolvedBranchFrac[name],
-		})
-	}
-	return out
-}
-
-func defenseRows(r *exp.DefensesResult) []DefenseRow {
-	rows := make([]DefenseRow, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, DefenseRow{
-			Defense:        row.Name,
-			Backend:        row.Title,
-			NormRuntime:    1 + row.Overhead,
-			Leaked:         row.Leaked,
-			BytesRecovered: row.Recovered,
-			BytesTotal:     row.SecretLen,
-			ExpectBlock:    row.ExpectBlock,
-		})
-	}
-	return rows
-}
-
-func compareDoc(r *exp.CompareResult) *Compare {
-	out := &Compare{Average: CompareRow{
-		Benchmark: r.Avg.Benchmark,
-		TPBuf:     r.Avg.TPBuf,
-		Invisi:    r.Avg.Invisi,
-		SWFence:   r.Avg.SWFence,
-	}}
-	for _, row := range r.Rows {
-		out.Rows = append(out.Rows, CompareRow{
-			Benchmark: row.Benchmark,
-			TPBuf:     row.TPBuf,
-			Invisi:    row.Invisi,
-			SWFence:   row.SWFence,
-		})
 	}
 	return out
 }

@@ -270,9 +270,9 @@ func (c *Coordinator) Execute(ctx context.Context, job serve.ExecJob) (*report.R
 // runs serve.ExecuteSpec, the path a worker runs, on a store-only Runner,
 // so the document is the one a worker would post. The Runner never
 // simulates: the first run the store lacks, and any suite that works
-// outside the memo (table4, defenses), ends the attempt with
-// exp.ErrNotStored. The attempt's progress is then dropped and the job is
-// leased; a resolved job forwards it and names no worker.
+// outside the memo (its exp registry row is not Stored), ends the attempt
+// with exp.ErrNotStored. The attempt's progress is then dropped and the job
+// is leased; a resolved job forwards it and names no worker.
 func (c *Coordinator) resolve(ctx context.Context, job serve.ExecJob) (*report.Report, exp.Stats, int, error) {
 	if c.opts.Store == nil {
 		return nil, exp.Stats{}, 0, exp.ErrNotStored

@@ -449,8 +449,8 @@ func (e localExecutor) Execute(ctx context.Context, job ExecJob) (*report.Report
 // process-level defaults a spec may narrow, and optional span tracing.
 // StoreOnly answers the spec from Cache without simulating, failing with
 // exp.ErrNotStored at the first run Cache does not hold
-// (exp.RunnerOptions.StoreOnly), and before any lookup for a spec with
-// table4 or defenses.
+// (exp.RunnerOptions.StoreOnly), and before any lookup for a spec with a
+// suite whose registry row is not Stored.
 type ExecOptions struct {
 	Cache      exp.ResultCache
 	SimWorkers int
@@ -490,10 +490,10 @@ func ExecuteSpec(ctx context.Context, js JobSpec, o ExecOptions, emit func(exp.P
 		return nil, exp.Stats{}, 0, err
 	}
 	if o.StoreOnly {
-		// table4 and defenses do work the store never holds; refuse a job
-		// that contains them before reading the store for its other suites.
-		for _, id := range suites {
-			if id == exp.SuiteTable4 || id == exp.SuiteDefenses {
+		// Refuse a job with a suite the store never holds before reading
+		// the store for its other suites.
+		for _, s := range suites {
+			if !s.Stored {
 				return nil, exp.Stats{}, 0, exp.ErrNotStored
 			}
 		}
@@ -508,8 +508,8 @@ func ExecuteSpec(ctx context.Context, js JobSpec, o ExecOptions, emit func(exp.P
 		StoreOnly: o.StoreOnly,
 	})
 	rep := report.New()
-	for _, id := range suites {
-		res, err := runner.RunSuite(ctx, id, exp.Options{Spec: spec, Benches: js.Benches, Defenses: js.Defenses})
+	for _, s := range suites {
+		res, err := runner.RunSuite(ctx, s.ID, exp.Options{Spec: spec, Benches: js.Benches, Defenses: js.Defenses})
 		if err != nil {
 			return nil, runner.Stats(), len(runner.Errors()), err
 		}
