@@ -84,8 +84,8 @@ test:
 # memo cache, and the workers hand their machines' cache tag arrays to each
 # other through internal/mem's per-geometry pool; the obs sinks/registry
 # sit on the hot cycle loop, and the fault injector's hook rides that loop
-# too. The serve daemon adds its own worker pool, SSE fan-out, and metrics
-# mutex on top. Run all of them under the race detector on every PR.
+# too. The serve daemon adds its own worker pool, SSE fan-out, and counters
+# under its mutex on top. Run all of them under the race detector on every PR.
 race:
 	$(GO) test -race ./internal/exp ./internal/mem ./internal/obs \
 	    ./internal/faultinject ./internal/serve ./internal/serve/client \
@@ -161,7 +161,7 @@ bench-snapshot:
 	        -out BENCH_$$(git rev-parse --short HEAD).json
 	@echo wrote BENCH_$$(git rev-parse --short HEAD).json
 
-# Compare the two most recently modified snapshots (older as the base).
+# Compare two snapshots named as OLD (the base) and NEW.
 # The gate fails the target when a perf-critical benchmark (Fig5 or the
 # SecMatrix kernels) regressed its ns/op by more than 5%.
 bench-compare:

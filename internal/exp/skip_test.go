@@ -17,8 +17,7 @@ import (
 // is what makes memoized cache entries (keyed on inputs only) valid across
 // both configurations.
 func TestRunWorkloadUnaffectedByStallSkip(t *testing.T) {
-	defer pipeline.SetDefaultStallSkip(true)
-
+	noSkip := func(cpu *pipeline.CPU) { cpu.SetStallSkip(false) }
 	p, ok := workload.ByName("mcf")
 	if !ok {
 		t.Fatal("mcf profile missing")
@@ -33,10 +32,8 @@ func TestRunWorkloadUnaffectedByStallSkip(t *testing.T) {
 		spec.Sec = SecFor(d)
 		spec.MetricsInterval = 1024
 
-		pipeline.SetDefaultStallSkip(true)
 		fast := RunWorkload(w, spec)
-		pipeline.SetDefaultStallSkip(false)
-		slow := RunWorkload(w, spec)
+		slow := RunWorkloadWith(w, spec, noSkip)
 
 		if slow.Stages.SkipSpans != 0 || slow.Stages.SkippedCycles != 0 {
 			t.Fatalf("%s: skip-disabled run recorded skips: %+v", name, slow.Stages)

@@ -906,8 +906,8 @@ func (c *Coordinator) handleResultPut(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeMetrics appends the fleet series to a /metrics exposition: fleet
-// gauges/counters plus every worker's last heartbeat-pushed counters,
-// labeled by worker.
+// gauges and counters plus every worker's last heartbeat-pushed series,
+// labelled by worker. Like every series, a pushed one is typed by its name.
 func (c *Coordinator) writeMetrics(w io.Writer) {
 	c.mu.Lock()
 	type ws struct {
@@ -941,27 +941,28 @@ func (c *Coordinator) writeMetrics(w io.Writer) {
 	pendingN = len(c.pending)
 	c.mu.Unlock()
 
-	gauge := func(name string, v uint64) {
-		fmt.Fprintf(w, "# TYPE conspec_served_%s gauge\nconspec_served_%s %d\n", name, name, v)
+	m := serve.NewMetricWriter(w)
+	for _, f := range []struct {
+		name string
+		v    uint64
+	}{
+		{"fleet_workers", uint64(workers)},
+		{"fleet_workers_draining", uint64(draining)},
+		{"fleet_capacity_slots", uint64(capacity)},
+		{"fleet_leases_pending", uint64(pendingN)},
+		{"fleet_leases_active", uint64(active)},
+		{"fleet_workers_lost_total", lost},
+		{"fleet_jobs_resolved_total", resolved},
+		{"fleet_leases_coalesced_total", coalesced},
+		{"fleet_leases_requeued_total", requeued},
+		{"fleet_result_gets_total", gets},
+		{"fleet_result_hits_total", hits},
+		{"fleet_result_puts_total", puts},
+	} {
+		m.Sample("conspec_served_"+f.name, f.v)
 	}
-	counter := func(name string, v uint64) {
-		fmt.Fprintf(w, "# TYPE conspec_served_%s counter\nconspec_served_%s %d\n", name, name, v)
-	}
-	gauge("fleet_workers", uint64(workers))
-	gauge("fleet_workers_draining", uint64(draining))
-	gauge("fleet_capacity_slots", uint64(capacity))
-	gauge("fleet_leases_pending", uint64(pendingN))
-	gauge("fleet_leases_active", uint64(active))
-	counter("fleet_workers_lost_total", lost)
-	counter("fleet_jobs_resolved_total", resolved)
-	counter("fleet_leases_coalesced_total", coalesced)
-	counter("fleet_leases_requeued_total", requeued)
-	counter("fleet_result_gets_total", gets)
-	counter("fleet_result_hits_total", hits)
-	counter("fleet_result_puts_total", puts)
 
 	sort.Slice(pushed, func(i, k int) bool { return pushed[i].id < pushed[k].id })
-	seen := map[string]bool{}
 	for _, p := range pushed {
 		names := make([]string, 0, len(p.metrics))
 		for name := range p.metrics {
@@ -969,14 +970,9 @@ func (c *Coordinator) writeMetrics(w io.Writer) {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			if !validMetricName(name) {
-				continue
+			if validMetricName(name) {
+				m.Sample("conspec_served_worker_"+name, p.metrics[name], "worker", p.id)
 			}
-			if !seen[name] {
-				fmt.Fprintf(w, "# TYPE conspec_served_worker_%s counter\n", name)
-				seen[name] = true
-			}
-			fmt.Fprintf(w, "conspec_served_worker_%s{worker=%q} %d\n", name, p.id, p.metrics[name])
 		}
 	}
 }

@@ -6,18 +6,15 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeNilSafe(t *testing.T) {
+func TestCounterNilSafe(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var s *Sampler
 	c.Inc()
-	c.Add(5)
-	g.Set(3)
 	h.Observe(7)
 	s.MaybeSample(100)
 	s.Reset(0)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || s.Len() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || s.Len() != 0 {
 		t.Fatal("nil metrics must read as zero")
 	}
 	if s.Series() != nil {
@@ -42,6 +39,33 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if h.Count() != 8 || h.Max() != 1000 || h.Sum() != 0+1+2+4+5+16+17+1000 {
 		t.Fatalf("summary wrong: count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
+	}
+}
+
+// TestHistogramObserveN: ObserveN(v, n) must leave a histogram exactly as
+// n Observe(v) calls do — every bucket, the count, the sum and the max. The
+// stall skipper credits whole skipped spans this way, so a mistake here
+// silently skews every occupancy histogram.
+func TestHistogramObserveN(t *testing.T) {
+	bounds := []uint64{1, 4, 16}
+	bulk, unrolled := NewRegistry(), NewRegistry()
+	hb, hu := bulk.Histogram("occ", bounds), unrolled.Histogram("occ", bounds)
+	for _, o := range []struct{ v, n uint64 }{{0, 7}, {4, 10}, {5, 3}, {99, 2}, {50, 0}} {
+		hb.ObserveN(o.v, o.n)
+		for i := uint64(0); i < o.n; i++ {
+			hu.Observe(o.v)
+		}
+	}
+	got := bulk.Snapshots()[0]
+	// The boundary value 4 lands in its own bucket; 99 overflows; n=0 is a
+	// no-op.
+	want := HistogramSnapshot{Name: "occ", Bounds: bounds, Counts: []uint64{7, 10, 3, 2},
+		Count: 22, Sum: 0*7 + 4*10 + 5*3 + 99*2, Max: 99}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ObserveN snapshot = %+v, want %+v", got, want)
+	}
+	if u := unrolled.Snapshots()[0]; !reflect.DeepEqual(u, got) {
+		t.Errorf("ObserveN diverges from unrolled Observe:\nbulk     %+v\nunrolled %+v", got, u)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package obs is the zero-allocation observability layer threaded through
 // the simulator's cycle loop. It has three parts:
 //
-//   - a typed metric Registry (counters, gauges, fixed-bucket histograms
-//     backed by plain arrays) that the pipeline records security-specific
-//     distributions into: suspect-window lengths, discarded-miss re-issue
+//   - the pipeline's sampled-series Registry: counters, gauge readouts over
+//     statistics kept elsewhere, and fixed-bucket histograms backed by
+//     plain arrays, into which the pipeline records security-specific
+//     distributions: suspect-window lengths, discarded-miss re-issue
 //     latencies, TPBuf occupancy, structure occupancies, squash depths;
 //   - an interval Sampler that snapshots every registered metric into an
 //     in-memory time series every N cycles, exported as JSONL or CSV;
@@ -45,41 +46,12 @@ func (c *Counter) Inc() {
 	c.v++
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
 // Value returns the current count (0 on nil).
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	v uint64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v uint64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram is a fixed-bucket histogram over uint64 observations. Bucket i
@@ -176,8 +148,8 @@ type HistogramSnapshot struct {
 }
 
 // column is one sampled value stream: a name plus a closure reading the
-// current value. Counters, gauges and histogram summaries all reduce to
-// columns, so the sampler is a single loop.
+// current value. Counters, gauge readouts and histogram summaries all
+// reduce to columns, so the sampler is a single loop.
 type column struct {
 	name string
 	read func() uint64
@@ -190,9 +162,6 @@ type Registry struct {
 	names map[string]bool
 	hists []*Histogram
 	hname []string
-	// unsampled holds metrics excluded from interval sample rows (see
-	// CounterUnsampled); Prometheus exposition still exports them.
-	unsampled []column
 }
 
 // NewRegistry builds an empty registry.
@@ -213,29 +182,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
 	r.addColumn(name, c.Value)
 	return c
-}
-
-// CounterUnsampled registers and returns a counter that is exported by
-// WritePrometheus but excluded from interval sample rows. This is for
-// meta-metrics about the simulation itself (e.g. the stall skipper's
-// skipped_cycles/skip_spans): putting them in the sampled series would make
-// otherwise byte-identical runs differ just because one engaged a
-// simulator-level optimization.
-func (r *Registry) CounterUnsampled(name string) *Counter {
-	if r.names[name] {
-		panic(fmt.Sprintf("obs: duplicate metric %q", name))
-	}
-	r.names[name] = true
-	c := &Counter{}
-	r.unsampled = append(r.unsampled, column{name: name, read: c.Value})
-	return c
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	r.addColumn(name, g.Value)
-	return g
 }
 
 // GaugeFunc registers an externally computed readout — the bridge that

@@ -402,7 +402,6 @@ func New(cfg config.Core, sec SecurityConfig, hier *mem.Hierarchy) *CPU {
 		awaitingData: make([]*uop, 0, cfg.STQ),
 		parked:       make([]*uop, 0, cfg.LDQ),
 	}
-	c.skipDisabled = skipDefaultDisabled.Load()
 	for f := isa.FU(0); f < isa.FUCount; f++ {
 		c.fuLim[f] = c.fuLimit(f)
 	}
@@ -610,14 +609,9 @@ func (c *CPU) step() {
 	if c.secmat != nil {
 		c.secmat.ClockEdge()
 	}
-	st := &c.stats.Stages
-	st.FetchQOccupancy += uint64(c.fqLen)
-	st.IQOccupancy += uint64(c.iqCount)
-	st.ReadyOccupancy += uint64(len(c.readyList))
-	st.ROBOccupancy += uint64(c.robCount)
-	st.ExecInflight += uint64(len(c.inflight))
+	c.creditOccupancy(1)
 	if c.m.enabled() {
-		c.sampleCycle()
+		c.m.sampler.MaybeSample(c.cycle)
 	}
 	// Hardening layer. The fault hook fires after the stages and the
 	// security clock edge, immediately before the checks, so a same-cycle
@@ -634,10 +628,8 @@ func (c *CPU) step() {
 	}
 	if c.selfCheckEvery != 0 && c.cycle%c.selfCheckEvery == 0 && c.runErr == nil {
 		c.stats.Hardening.SelfCheckSweeps++
-		c.m.selfcheckSweeps.Inc()
 		if err := c.CheckInvariants(); err != nil {
 			c.stats.Hardening.SelfCheckViolations++
-			c.m.selfcheckViolations.Inc()
 			c.failAudit(err)
 		}
 	}

@@ -29,7 +29,6 @@ func (c *CPU) SetFaultHook(fn func(*CPU)) { c.faultHook = fn }
 
 func (c *CPU) noteFault() {
 	c.stats.Hardening.FaultsInjected++
-	c.m.faultsInjected.Inc()
 }
 
 // InjectSecMatrixBitFlip inverts one bit in the security dependence matrix

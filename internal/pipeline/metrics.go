@@ -5,17 +5,16 @@ import "conspec/internal/obs"
 // Metrics is the pipeline's typed view of an obs.Registry: the
 // security-attribution distributions the paper's evaluation is built on
 // (suspect windows, discarded-miss re-issue latencies, TPBuf activity,
-// squash depths) plus structure-occupancy histograms and gauge-func bridges
-// into the statistics the machine already maintains.
+// squash depths) plus structure-occupancy histograms — what a Result cannot
+// hold — and gauge-func readouts that sample the statistics the machine
+// already counts in its Result. Each statistic is counted in one place.
 //
 // A CPU with no metrics attached holds the zero Metrics value: every
 // recording field is nil and each record site is one nil-check branch (see
 // internal/obs). With metrics attached, recording is array writes only, so
 // the cycle loop keeps its zero-allocation guarantee.
 type Metrics struct {
-	// Registry is the underlying metric registry; callers may register
-	// additional metrics on it before attaching.
-	Registry *obs.Registry
+	reg *obs.Registry
 
 	// The sampler is built lazily in AttachMetrics, after bindCPU has
 	// registered the gauge columns, so its stride and row preallocation
@@ -42,19 +41,6 @@ type Metrics struct {
 	// verdict blocked — architecturally benign blocks, i.e. the filter's
 	// false positives.
 	tpbufUnsafeCommitted *obs.Counter
-
-	// Hardening-layer activity (see watchdog.go and fault.go): all zero on
-	// healthy runs with selfcheck off and no injector attached.
-	watchdogTrips       *obs.Counter
-	selfcheckSweeps     *obs.Counter
-	selfcheckViolations *obs.Counter
-	faultsInjected      *obs.Counter
-
-	// Stall-skipper activity (see skip.go). Registered unsampled: they
-	// describe the simulator, not the simulated machine, and must not make
-	// the sampled series differ between skip-enabled and -disabled runs.
-	skippedCycles *obs.Counter
-	skipSpans     *obs.Counter
 }
 
 // NewMetrics builds a registry populated with the pipeline's standard
@@ -63,7 +49,7 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	r := obs.NewRegistry()
 	return &Metrics{
-		Registry:             r,
+		reg:                  r,
 		suspectWindow:        r.Histogram("suspect_window_cycles", obs.DefaultBounds),
 		reissueLatency:       r.Histogram("reissue_latency_cycles", obs.DefaultBounds),
 		squashDepth:          r.Histogram("squash_depth", obs.DefaultBounds),
@@ -74,12 +60,6 @@ func NewMetrics() *Metrics {
 		robOcc:               r.Histogram("rob_occupancy", obs.DefaultBounds),
 		tpbufOcc:             r.Histogram("tpbuf_occupancy", obs.DefaultBounds),
 		tpbufUnsafeCommitted: r.Counter("tpbuf_unsafe_committed"),
-		watchdogTrips:        r.Counter("watchdog_trips"),
-		selfcheckSweeps:      r.Counter("selfcheck_sweeps"),
-		selfcheckViolations:  r.Counter("selfcheck_violations"),
-		faultsInjected:       r.Counter("faults_injected"),
-		skippedCycles:        r.CounterUnsampled("skipped_cycles"),
-		skipSpans:            r.CounterUnsampled("skip_spans"),
 	}
 }
 
@@ -99,7 +79,7 @@ func (m *Metrics) Series() *obs.Series { return m.sampler.Series() }
 
 // enabled reports whether this is a live metric set (used by per-cycle
 // grouped record sites; individual sites rely on nil-safe methods).
-func (m *Metrics) enabled() bool { return m.Registry != nil }
+func (m *Metrics) enabled() bool { return m.reg != nil }
 
 // AttachMetrics wires m into the CPU: recording sites start writing into
 // its histograms/counters, the per-run statistics the machine already
@@ -118,7 +98,7 @@ func (c *CPU) AttachMetrics(m *Metrics) {
 		m.bindCPU(c)
 	}
 	if m.sampleInterval > 0 && m.sampler == nil {
-		m.sampler = obs.NewSampler(m.Registry, m.sampleInterval, m.sampleRows)
+		m.sampler = obs.NewSampler(m.reg, m.sampleInterval, m.sampleRows)
 	}
 	c.m = *m
 	c.hier.DataLat = m.dataAccessLat
@@ -126,9 +106,16 @@ func (c *CPU) AttachMetrics(m *Metrics) {
 
 // bindCPU registers gauge-func readouts over the statistics the machine
 // maintains anyway — the sampler calls them only at interval boundaries,
-// so the hot path pays nothing for them.
+// so the hot path pays nothing for them. The hardening counters come first:
+// they sit right after tpbuf_unsafe_committed in the series' columns.
 func (m *Metrics) bindCPU(c *CPU) {
-	r := m.Registry
+	r := m.reg
+	h := &c.stats.Hardening
+	r.GaugeFunc("watchdog_trips", func() uint64 { return h.WatchdogTrips })
+	r.GaugeFunc("selfcheck_sweeps", func() uint64 { return h.SelfCheckSweeps })
+	r.GaugeFunc("selfcheck_violations", func() uint64 { return h.SelfCheckViolations })
+	r.GaugeFunc("faults_injected", func() uint64 { return h.FaultsInjected })
+
 	r.GaugeFunc("committed", func() uint64 { return c.stats.Committed })
 	r.GaugeFunc("squashes", func() uint64 { return c.stats.Squashes })
 	r.GaugeFunc("mem_violations", func() uint64 { return c.stats.MemViolations })
@@ -159,15 +146,23 @@ func (m *Metrics) bindCPU(c *CPU) {
 	r.GaugeFunc("l3_misses", func() uint64 { return c.hier.L3.Stats.Misses })
 }
 
-// sampleCycle records the per-cycle occupancy observations and gives the
-// sampler its chance to snapshot; called once per cycle from step() when a
-// metric set is attached.
-func (c *CPU) sampleCycle() {
-	m := &c.m
-	m.fetchQOcc.Observe(uint64(c.fqLen))
-	m.iqOcc.Observe(uint64(c.iqCount))
-	m.readyOcc.Observe(uint64(len(c.readyList)))
-	m.robOcc.Observe(uint64(c.robCount))
-	m.tpbufOcc.Observe(uint64(c.tpbuf.Occupancy()))
-	m.sampler.MaybeSample(c.cycle)
+// creditOccupancy adds n cycles at the current structure occupancies to
+// the Result's occupancy integrals and, with metrics attached, to the
+// occupancy histograms. step() credits each cycle through it and the stall
+// skipper a whole skipped span, so the two cannot disagree.
+func (c *CPU) creditOccupancy(n uint64) {
+	st := &c.stats.Stages
+	st.FetchQOccupancy += uint64(c.fqLen) * n
+	st.IQOccupancy += uint64(c.iqCount) * n
+	st.ReadyOccupancy += uint64(len(c.readyList)) * n
+	st.ROBOccupancy += uint64(c.robCount) * n
+	st.ExecInflight += uint64(len(c.inflight)) * n
+	if c.m.enabled() {
+		m := &c.m
+		m.fetchQOcc.ObserveN(uint64(c.fqLen), n)
+		m.iqOcc.ObserveN(uint64(c.iqCount), n)
+		m.readyOcc.ObserveN(uint64(len(c.readyList)), n)
+		m.robOcc.ObserveN(uint64(c.robCount), n)
+		m.tpbufOcc.ObserveN(uint64(c.tpbuf.Occupancy()), n)
+	}
 }

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"sync/atomic"
-
 	"conspec/internal/branch"
 	"conspec/internal/core"
 	"conspec/internal/mem"
@@ -47,15 +45,6 @@ import (
 // Skipping never engages under StepCycle (multi-core harnesses interleave
 // cores cycle by cycle), with per-cycle self-check sweeps armed, or with a
 // fault hook attached — those observers see individual cycles.
-
-// skipDefaultDisabled is the package-wide default for new CPUs (false =
-// skipping enabled). conspec-sim -no-skip and differential tests flip it;
-// reads happen once per CPU construction.
-var skipDefaultDisabled atomic.Bool
-
-// SetDefaultStallSkip sets whether CPUs built after this call skip stalled
-// spans (they do unless disabled here or per-CPU via SetStallSkip).
-func SetDefaultStallSkip(enabled bool) { skipDefaultDisabled.Store(!enabled) }
 
 // SetStallSkip enables or disables event-driven stall skipping for this
 // CPU. Disabling is the escape hatch for debugging and for byte-identity
@@ -195,8 +184,6 @@ func (c *CPU) fastForward(capCycle uint64) {
 	c.creditStall(span)
 	c.stats.Stages.SkippedCycles += span
 	c.stats.Stages.SkipSpans++
-	c.m.skippedCycles.Add(span)
-	c.m.skipSpans.Inc()
 	// Stamped at the span's END so a dump window that opens mid-span still
 	// retains the event explaining its silence (no events can occur inside
 	// a skipped span by construction).
@@ -233,17 +220,5 @@ func (c *CPU) creditCycles(n uint64) {
 	if c.iqCount > 0 {
 		st.IssueIdleCycles += n
 	}
-	st.FetchQOccupancy += uint64(c.fqLen) * n
-	st.IQOccupancy += uint64(c.iqCount) * n
-	st.ReadyOccupancy += uint64(len(c.readyList)) * n
-	st.ROBOccupancy += uint64(c.robCount) * n
-	st.ExecInflight += uint64(len(c.inflight)) * n
-	if c.m.enabled() {
-		m := &c.m
-		m.fetchQOcc.ObserveN(uint64(c.fqLen), n)
-		m.iqOcc.ObserveN(uint64(c.iqCount), n)
-		m.readyOcc.ObserveN(uint64(len(c.readyList)), n)
-		m.robOcc.ObserveN(uint64(c.robCount), n)
-		m.tpbufOcc.ObserveN(uint64(c.tpbuf.Occupancy()), n)
-	}
+	c.creditOccupancy(n)
 }

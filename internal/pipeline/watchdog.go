@@ -124,7 +124,6 @@ func (c *CPU) Err() error { return c.runErr }
 // runErr is set.
 func (c *CPU) tripWatchdog() {
 	c.stats.Hardening.WatchdogTrips++
-	c.m.watchdogTrips.Inc()
 	err := &NoProgressError{
 		Cycle:      c.cycle,
 		LastCommit: c.lastProgress,

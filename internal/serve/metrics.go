@@ -3,13 +3,12 @@ package serve
 import (
 	"fmt"
 	"io"
-	"sync"
+	"strconv"
+	"strings"
 
 	"conspec/internal/buildinfo"
 	"conspec/internal/diskcache"
 	"conspec/internal/exp"
-	"conspec/internal/obs"
-	"conspec/internal/serve/journal"
 )
 
 // CacheStats is the optional interface a Config.Cache can implement (as
@@ -19,163 +18,125 @@ type CacheStats interface {
 	Stats() diskcache.Stats
 }
 
-// serverMetrics aggregates server-level counters into an obs.Registry and
-// renders them on demand. The obs registry's counters are plain (non-atomic)
-// uint64 columns — the registry contract makes synchronization the caller's
-// job — so every write and the exposition read happen under mu.
-type serverMetrics struct {
-	mu  sync.Mutex
-	reg *obs.Registry
-
-	submittedC *obs.Counter
-	rejectedC  *obs.Counter
-	throttledC *obs.Counter
-	recoveredC *obs.Counter
-	doneC      *obs.Counter
-	failedC    *obs.Counter
-	canceledC  *obs.Counter
-
-	executedC *obs.Counter
-	memHitsC  *obs.Counter
-	diskHitsC *obs.Counter
-
-	skippedCyclesC *obs.Counter
-	skipSpansC     *obs.Counter
-
-	queuedG  *obs.Gauge
-	runningG *obs.Gauge
+// counters are the server's own /metrics counters. They live in the Server
+// under s.mu, beside the queued and running counts.
+type counters struct {
+	submitted, rejected, throttled, recovered uint64
+	done, failed, canceled                    uint64
+	// Engine-level run accounting, summed over finished jobs.
+	executed, memHits, diskHits, skippedCycles, skipSpans uint64
 }
 
-func newServerMetrics() *serverMetrics {
-	reg := obs.NewRegistry()
-	return &serverMetrics{
-		reg:            reg,
-		submittedC:     reg.Counter("jobs_submitted_total"),
-		rejectedC:      reg.Counter("jobs_rejected_total"),
-		throttledC:     reg.Counter("jobs_throttled_total"),
-		recoveredC:     reg.Counter("jobs_recovered_total"),
-		doneC:          reg.Counter("jobs_done_total"),
-		failedC:        reg.Counter("jobs_failed_total"),
-		canceledC:      reg.Counter("jobs_canceled_total"),
-		executedC:      reg.Counter("runs_executed_total"),
-		memHitsC:       reg.Counter("cache_hits_memory_total"),
-		diskHitsC:      reg.Counter("cache_hits_disk_total"),
-		skippedCyclesC: reg.Counter("sim_skipped_cycles_total"),
-		skipSpansC:     reg.Counter("sim_skip_spans_total"),
-		queuedG:        reg.Gauge("jobs_queued"),
-		runningG:       reg.Gauge("jobs_running"),
-	}
-}
-
-func (m *serverMetrics) submitted() {
-	m.mu.Lock()
-	m.submittedC.Add(1)
-	m.mu.Unlock()
-}
-
-func (m *serverMetrics) rejected() {
-	m.mu.Lock()
-	m.rejectedC.Add(1)
-	m.mu.Unlock()
-}
-
-// throttled counts submissions denied by the per-client quota limiter.
-func (m *serverMetrics) throttled() {
-	m.mu.Lock()
-	m.throttledC.Add(1)
-	m.mu.Unlock()
-}
-
-func (m *serverMetrics) recovered() {
-	m.mu.Lock()
-	m.recoveredC.Add(1)
-	m.mu.Unlock()
-}
-
-// attachStores registers readouts over the disk cache (when the configured
-// cache exposes Stats) and the job journal, pulled live at every /metrics
-// exposition:
-//
-//	cache_disk_gets_total / cache_disk_hits_total store-level lookups
-//	cache_disk_bytes / cache_disk_entries        current occupancy
-//	cache_disk_evictions_total (+ evicted bytes) LRU budget enforcement
-//	cache_disk_quarantined_total                 corrupt entries moved aside
-//	cache_disk_gc_sweeps_total                   background GC passes
-//	cache_disk_put_errors_total                  failed writes (disk full…)
-//	journal_wal_bytes / journal_live_jobs        WAL size and live jobs
-//	journal_appends_total / journal_compactions_total
-func (m *serverMetrics) attachStores(cache exp.ResultCache, jr *journal.Journal) {
-	if cs, ok := cache.(CacheStats); ok && cs != nil {
-		m.reg.GaugeFunc("cache_disk_gets_total", func() uint64 { return cs.Stats().Gets })
-		m.reg.GaugeFunc("cache_disk_hits_total", func() uint64 { return cs.Stats().Hits })
-		m.reg.GaugeFunc("cache_disk_bytes", func() uint64 { return uint64(cs.Stats().Bytes) })
-		m.reg.GaugeFunc("cache_disk_entries", func() uint64 { return uint64(cs.Stats().Entries) })
-		m.reg.GaugeFunc("cache_disk_evictions_total", func() uint64 { return cs.Stats().Evictions })
-		m.reg.GaugeFunc("cache_disk_evicted_bytes_total", func() uint64 { return cs.Stats().EvictedBytes })
-		m.reg.GaugeFunc("cache_disk_quarantined_total", func() uint64 { return cs.Stats().Quarantined })
-		m.reg.GaugeFunc("cache_disk_gc_sweeps_total", func() uint64 { return cs.Stats().GCSweeps })
-		m.reg.GaugeFunc("cache_disk_put_errors_total", func() uint64 { return cs.Stats().PutErrs })
-	}
-	if jr != nil {
-		m.reg.GaugeFunc("journal_wal_bytes", func() uint64 {
-			wal, _, _ := jr.Sizes()
-			return uint64(wal)
-		})
-		m.reg.GaugeFunc("journal_appends_total", func() uint64 {
-			_, appends, _ := jr.Sizes()
-			return appends
-		})
-		m.reg.GaugeFunc("journal_compactions_total", func() uint64 {
-			_, _, compactions := jr.Sizes()
-			return compactions
-		})
-		m.reg.GaugeFunc("journal_live_jobs", func() uint64 { return uint64(jr.Live()) })
-	}
-}
-
-// jobFinished records a terminal job plus its engine-level run accounting.
-func (m *serverMetrics) jobFinished(status Status, st exp.Stats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// finished counts a terminal job and its engine-level run accounting.
+func (s *Server) finished(status Status, st exp.Stats) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch status {
 	case StatusDone:
-		m.doneC.Add(1)
+		s.n.done++
 	case StatusFailed:
-		m.failedC.Add(1)
+		s.n.failed++
 	case StatusCanceled:
-		m.canceledC.Add(1)
+		s.n.canceled++
 	}
-	m.executedC.Add(st.Executed)
-	m.memHitsC.Add(st.Hits)
-	m.diskHitsC.Add(st.DiskHits)
-	m.skippedCyclesC.Add(st.SkippedCycles)
-	m.skipSpansC.Add(st.SkipSpans)
+	s.n.executed += st.Executed
+	s.n.memHits += st.Hits
+	s.n.diskHits += st.DiskHits
+	s.n.skippedCycles += st.SkippedCycles
+	s.n.skipSpans += st.SkipSpans
 }
 
-func (m *serverMetrics) setQueue(queued, running int) {
-	m.mu.Lock()
-	m.queuedG.Set(uint64(queued))
-	m.runningG.Set(uint64(running))
-	m.mu.Unlock()
-}
-
-func (m *serverMetrics) write(w io.Writer) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := writeBuildInfo(w); err != nil {
-		return err
-	}
-	return obs.WritePrometheus(w, "conspec_served_", m.reg)
-}
-
-// writeBuildInfo emits the conspec_build_info identity gauge: a constant-1
-// sample whose labels carry the running binary's build identity, the
-// standard join key for dashboards (obs.WritePrometheus has no label
-// support, so the line is written by hand in the same exposition format).
-func writeBuildInfo(w io.Writer) error {
+// writeMetrics renders the server's part of GET /metrics: the build
+// identity, the server's counters, and live readouts over the disk cache
+// (when the configured cache exposes Stats) and the job journal.
+func (s *Server) writeMetrics(w io.Writer) {
+	m := NewMetricWriter(w)
 	bi := buildinfo.Get()
-	_, err := fmt.Fprintf(w,
-		"# TYPE conspec_build_info gauge\nconspec_build_info{module=%q,version=%q,revision=%q,dirty=%q,go_version=%q} 1\n",
-		bi.Module, bi.Version, bi.Revision, fmt.Sprintf("%t", bi.Dirty), bi.GoVersion)
-	return err
+	m.Sample("conspec_build_info", 1, "module", bi.Module, "version", bi.Version,
+		"revision", bi.Revision, "dirty", strconv.FormatBool(bi.Dirty), "go_version", bi.GoVersion)
+	s.mu.Lock()
+	n, queued, running := s.n, s.queued, s.running
+	s.mu.Unlock()
+	type sample struct {
+		name string
+		v    uint64
+	}
+	samples := []sample{
+		{"jobs_submitted_total", n.submitted},
+		{"jobs_rejected_total", n.rejected},
+		{"jobs_throttled_total", n.throttled},
+		{"jobs_recovered_total", n.recovered},
+		{"jobs_done_total", n.done},
+		{"jobs_failed_total", n.failed},
+		{"jobs_canceled_total", n.canceled},
+		{"runs_executed_total", n.executed},
+		{"cache_hits_memory_total", n.memHits},
+		{"cache_hits_disk_total", n.diskHits},
+		{"sim_skipped_cycles_total", n.skippedCycles},
+		{"sim_skip_spans_total", n.skipSpans},
+		{"jobs_queued", uint64(queued)},
+		{"jobs_running", uint64(running)},
+	}
+	if cs, ok := s.cfg.Cache.(CacheStats); ok && cs != nil {
+		st := cs.Stats()
+		samples = append(samples,
+			sample{"cache_disk_gets_total", st.Gets},
+			sample{"cache_disk_hits_total", st.Hits},
+			sample{"cache_disk_bytes", uint64(st.Bytes)},
+			sample{"cache_disk_entries", uint64(st.Entries)},
+			sample{"cache_disk_evictions_total", st.Evictions},
+			sample{"cache_disk_evicted_bytes_total", st.EvictedBytes},
+			sample{"cache_disk_quarantined_total", st.Quarantined},
+			sample{"cache_disk_gc_sweeps_total", st.GCSweeps},
+			sample{"cache_disk_put_errors_total", st.PutErrs})
+	}
+	if jr := s.cfg.Journal; jr != nil {
+		wal, appends, compactions := jr.Sizes()
+		samples = append(samples,
+			sample{"journal_wal_bytes", uint64(wal)},
+			sample{"journal_appends_total", appends},
+			sample{"journal_compactions_total", compactions},
+			sample{"journal_live_jobs", uint64(jr.Live())})
+	}
+	for _, sm := range samples {
+		m.Sample("conspec_served_"+sm.name, sm.v)
+	}
+}
+
+// MetricWriter renders GET /metrics in the Prometheus text exposition
+// format (version 0.0.4). Every line of the exposition goes through one,
+// the coordinator's fleet and worker series included. Ahead of a family's
+// first sample it writes the family's one # TYPE line, typed by name:
+// counter when the name ends in _total, gauge otherwise. Write errors are
+// dropped; they mean the scraper went away.
+type MetricWriter struct {
+	w     io.Writer
+	typed map[string]bool
+}
+
+// NewMetricWriter starts an exposition on w.
+func NewMetricWriter(w io.Writer) *MetricWriter {
+	return &MetricWriter{w: w, typed: make(map[string]bool)}
+}
+
+// Sample writes one sample of the family name; labels alternate label
+// names and values.
+func (m *MetricWriter) Sample(name string, v uint64, labels ...string) {
+	if !m.typed[name] {
+		m.typed[name] = true
+		kind := "gauge"
+		if strings.HasSuffix(name, "_total") {
+			kind = "counter"
+		}
+		fmt.Fprintf(m.w, "# TYPE %s %s\n", name, kind)
+	}
+	series := name
+	if len(labels) > 0 {
+		pairs := make([]string, 0, len(labels)/2)
+		for i := 0; i+1 < len(labels); i += 2 {
+			pairs = append(pairs, labels[i]+"="+strconv.Quote(labels[i+1]))
+		}
+		series += "{" + strings.Join(pairs, ",") + "}"
+	}
+	fmt.Fprintf(m.w, "%s %d\n", series, v)
 }

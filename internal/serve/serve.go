@@ -169,8 +169,9 @@ type Server struct {
 	recentLat [latWindow]time.Duration
 	latCount  int
 	latIdx    int
+	// n holds the /metrics counters (metrics.go).
+	n counters
 
-	metrics *serverMetrics
 	// tracer holds every span the server records: HTTP requests, job
 	// lifecycles (queue-wait/execute), and — through RunnerOptions.Trace —
 	// each job's suite/run/phase spans. GET /v1/jobs/{id}/trace exports one
@@ -197,12 +198,11 @@ func New(cfg Config) *Server {
 		// The channel holds every recovered job plus a full queue of fresh
 		// ones; admission control is the queued-count check in
 		// handleSubmit, so sends under s.mu can never block.
-		queue:   make(chan *job, cfg.QueueCap+len(cfg.Recovered)),
-		quit:    make(chan struct{}),
-		epoch:   randHex(4),
-		jobs:    make(map[string]*job),
-		metrics: newServerMetrics(),
-		tracer:  trace.New(cfg.TraceSpans),
+		queue:  make(chan *job, cfg.QueueCap+len(cfg.Recovered)),
+		quit:   make(chan struct{}),
+		epoch:  randHex(4),
+		jobs:   make(map[string]*job),
+		tracer: trace.New(cfg.TraceSpans),
 	}
 	if cfg.Executor == nil {
 		s.cfg.Executor = localExecutor{ExecOptions{
@@ -212,7 +212,6 @@ func New(cfg Config) *Server {
 			Trace:      s.tracer,
 		}}
 	}
-	s.metrics.attachStores(cfg.Cache, cfg.Journal)
 	s.recover(cfg.Recovered)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -275,10 +274,9 @@ func (s *Server) recover(states []journal.State) {
 			continue
 		}
 		s.enqueueLocked(newJob(st.Job, spec, s.epoch, st.Submitted, true))
-		s.metrics.recovered()
+		s.n.recovered++
 		s.logf("job %s: recovered from journal (suite %s, was %s)", st.Job, spec.Suite, st.Op)
 	}
-	s.metrics.setQueue(s.queued, 0)
 }
 
 // enqueueLocked opens a new job's trace spans, makes it visible and hands
@@ -370,7 +368,7 @@ func (s *Server) process(j *job) {
 		s.journalAppend(journal.OpCanceled, nil, "", j.id)
 		s.tracer.Annotate(j.span, "status", string(StatusCanceled))
 		s.tracer.End(j.span)
-		s.metrics.jobFinished(StatusCanceled, exp.Stats{})
+		s.finished(StatusCanceled, exp.Stats{})
 		s.logf("job %s: canceled while queued", j.id)
 		return
 	}
@@ -379,7 +377,6 @@ func (s *Server) process(j *job) {
 	s.running++
 	s.mu.Unlock()
 	s.journalAppend(journal.OpStarted, nil, "", j.id)
-	s.metrics.setQueue(s.counts())
 	s.logf("job %s: running (suite %s)", j.id, j.spec.Suite)
 
 	started := time.Now()
@@ -421,8 +418,7 @@ func (s *Server) process(j *job) {
 	s.mu.Lock()
 	s.running--
 	s.mu.Unlock()
-	s.metrics.jobFinished(status, stats)
-	s.metrics.setQueue(s.counts())
+	s.finished(status, stats)
 	s.logf("job %s: %s (executed %d, mem hits %d, disk hits %d, failed runs %d)",
 		j.id, status, stats.Executed, stats.Hits, stats.DiskHits, failedRuns)
 }
@@ -659,7 +655,7 @@ wait:
 			s.mu.Unlock()
 			j.finish(StatusCanceled, nil, nil, 0, "server stopped before the job ran")
 			s.journalAppend(journal.OpCanceled, nil, "", j.id)
-			s.metrics.jobFinished(StatusCanceled, exp.Stats{})
+			s.finished(StatusCanceled, exp.Stats{})
 			s.logf("job %s: canceled (server stopped before it ran)", j.id)
 		default:
 			s.logf("drained")
@@ -752,7 +748,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if secs < 1 {
 				secs = 1
 			}
-			s.metrics.throttled()
+			s.mu.Lock()
+			s.n.throttled++
+			s.mu.Unlock()
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
 			WriteError(w, http.StatusTooManyRequests, "client quota exceeded")
 			return
@@ -785,8 +783,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.queued >= s.cfg.QueueCap {
 		ra := s.retryAfterLocked(false)
+		s.n.rejected++
 		s.mu.Unlock()
-		s.metrics.rejected()
 		w.Header().Set("Retry-After", ra)
 		WriteError(w, http.StatusTooManyRequests, "job queue is full")
 		return
@@ -813,9 +811,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j := newJob(id, spec, s.epoch, time.Now().UTC(), false)
 	s.enqueueLocked(j)
+	s.n.submitted++
 	s.mu.Unlock()
-	s.metrics.submitted()
-	s.metrics.setQueue(s.counts())
 	s.logf("job %s: queued (suite %s)", id, spec.Suite)
 	w.Header().Set("Location", "/v1/jobs/"+id)
 	WriteJSON(w, http.StatusAccepted, j.snapshot(false))
@@ -907,7 +904,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.setQueue(s.counts())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w)
+	s.writeMetrics(w)
 }
