@@ -33,6 +33,10 @@
 #                       — run perfbench on the parent and the working tree
 #                         in alternating pairs and print the medians, IQRs,
 #                         changes and "better in N/M" per metric.
+#   make profile        — CPU-profile five BenchmarkFig5 iterations and print
+#                         the cumulative shares of the cycle step, the five
+#                         stages, FlatMem.Read/Fetch and TPBuf.Allocate (not
+#                         part of tier1; gates nothing).
 
 GO ?= go
 
@@ -42,7 +46,7 @@ GO ?= go
 # per-component microbenches.
 TRACKED_BENCHES = ^(BenchmarkFig5|BenchmarkSimSetup|BenchmarkSimulatorThroughput|BenchmarkSecMatrixDispatch|BenchmarkSecMatrixHazardCheck|BenchmarkTPBufQuery|BenchmarkCacheAccess)$$
 
-.PHONY: all build fmt vet perfbench-vet perfbench-test lint lint-defense test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix tier1 bench bench-snapshot bench-compare bench-pairs
+.PHONY: all build fmt vet perfbench-vet perfbench-test lint lint-defense test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix tier1 bench bench-snapshot bench-compare bench-pairs profile
 
 all: tier1
 
@@ -176,3 +180,9 @@ bench-pairs:
 	@if [ -z "$(PARENT)" ] || [ -z "$(WORKLOAD)" ]; then \
 	    echo 'usage: make bench-pairs PARENT=<rev> WORKLOAD=<workload> [SEEDS="1 2 3"]'; exit 2; fi
 	sh scripts/benchpairs.sh "$(PARENT)" "$(WORKLOAD)" "$(SEEDS)"
+
+# Stage shares of the cycle loop from a CPU profile of BenchmarkFig5 (see
+# scripts/profile.sh); the profile is kept in the temporary directory it
+# prints.
+profile:
+	sh scripts/profile.sh

@@ -15,7 +15,14 @@ import (
 //	S — the access carried the suspect speculation flag
 //
 // plus a Mask identifying which entries are OLDER in program order
-// (generated from the A bits at allocation time).
+// (generated from the A bits at allocation time). The model keeps the Mask
+// as a per-entry allocation stamp from a monotonic counter instead of a
+// bit-vector: entry j is older than entry i iff j is allocated and was
+// allocated before i. That is exactly the set the Mask snapshot holds (a
+// slot reallocated since i's snapshot carries a newer stamp, which is the
+// stale bit the hardware clears), and it makes Allocate O(1) rather than a
+// sweep over every entry's mask. internal/hw's area model still counts the
+// N×N Mask bits the hardware stores.
 //
 // Detection implements the paper's Table II: an incoming suspect L1D-miss
 // request is UNSAFE iff at least one older valid entry is in Writeback
@@ -62,10 +69,10 @@ type TPBuf struct {
 	v       []bool
 	w       []bool
 	s       []bool
-	mask    [][]uint64 // mask[i] = bitvector of entries older than i
-	aM      []uint64   // word mask of the A bits (allocate snapshots copy it)
-	words   int
-	occ     int // population count of the A bits
+	age     []uint64 // age[i] = allocation stamp of entry i
+	clock   uint64   // stamp of the latest allocation
+	aM      []uint64 // word mask of the A bits (QuerySafe walks its set bits)
+	occ     int      // population count of the A bits
 	Stats   TPBufStats
 }
 
@@ -100,21 +107,16 @@ func NewTPBuf(n int) *TPBuf {
 	if n <= 0 {
 		panic(fmt.Sprintf("core: TPBuf size %d", n))
 	}
-	w := (n + wordBits - 1) / wordBits
-	t := &TPBuf{
-		n: n, words: w,
-		ppn:  make([]uint64, n),
-		a:    make([]bool, n),
-		v:    make([]bool, n),
-		w:    make([]bool, n),
-		s:    make([]bool, n),
-		mask: make([][]uint64, n),
-		aM:   make([]uint64, w),
+	return &TPBuf{
+		n:   n,
+		ppn: make([]uint64, n),
+		a:   make([]bool, n),
+		v:   make([]bool, n),
+		w:   make([]bool, n),
+		s:   make([]bool, n),
+		age: make([]uint64, n),
+		aM:  make([]uint64, (n+wordBits-1)/wordBits),
 	}
-	for i := range t.mask {
-		t.mask[i] = make([]uint64, w)
-	}
-	return t
 }
 
 // Size returns the entry count.
@@ -132,27 +134,20 @@ func (t *TPBuf) checkIdx(i int) {
 }
 
 // Allocate claims entry i for a newly dispatched memory instruction. The
-// entry's Mask snapshots the currently allocated (A) entries — everything
-// already in the buffer is older in program order. Entry i's bit is also
-// removed from every other mask: whatever occupied this slot before has
-// been freed, so a stale "older" bit must not survive reallocation.
+// entry takes the next allocation stamp, so everything already in the
+// buffer is older in program order, and entry i is older than nothing:
+// whatever occupied this slot before has been freed, and its old stamp,
+// the "older" bit a reallocation must clear, goes with it.
 func (t *TPBuf) Allocate(i int) {
 	t.checkIdx(i)
 	t.Stats.Allocs++
-	bit := uint64(1) << (uint(i) % wordBits)
-	iw := i / wordBits
-	copy(t.mask[i], t.aM)
-	t.mask[i][iw] &^= bit
-	for j := 0; j < t.n; j++ {
-		if j != i {
-			t.mask[j][iw] &^= bit
-		}
-	}
+	t.clock++
+	t.age[i] = t.clock
 	if !t.a[i] {
 		t.occ++
 	}
 	t.a[i] = true
-	t.aM[iw] |= bit
+	t.aM[i/wordBits] |= 1 << (uint(i) % wordBits)
 	t.v[i] = false
 	t.w[i] = false
 	t.s[i] = false
@@ -204,12 +199,11 @@ func (t *TPBuf) Free(i int) {
 func (t *TPBuf) QuerySafe(i int, ppn uint64) bool {
 	t.checkIdx(i)
 	t.Stats.Queries++
-	for w, word := range t.mask[i] {
+	for w, word := range t.aM {
 		for word != 0 {
 			j := w*wordBits + bits.TrailingZeros64(word)
 			word &= word - 1
-			wOK := t.w[j] || t.variant == VariantNoW
-			if t.a[j] && t.v[j] && wOK && t.s[j] && t.ppn[j] != ppn {
+			if t.age[j] < t.age[i] && t.matches(j, ppn) {
 				t.Stats.Unsafe++
 				return false
 			}
@@ -217,6 +211,14 @@ func (t *TPBuf) QuerySafe(i int, ppn uint64) bool {
 	}
 	t.Stats.Safe++
 	return true
+}
+
+// matches reports whether entry j is an S-Pattern source for an access to
+// page ppn: valid, written back (unless the variant drops W), suspect, and
+// on a different page. Whether j is older is the caller's test.
+func (t *TPBuf) matches(j int, ppn uint64) bool {
+	wOK := t.w[j] || t.variant == VariantNoW
+	return t.v[j] && wOK && t.s[j] && t.ppn[j] != ppn
 }
 
 // CorruptBit inverts one status bit of entry i — 'V', 'W', 'S' — or the low
@@ -243,22 +245,19 @@ func (t *TPBuf) CorruptBit(i int, field byte) {
 func (t *TPBuf) AuditSafe(i int, ppn uint64) bool {
 	t.checkIdx(i)
 	for j := 0; j < t.n; j++ {
-		if t.mask[i][j/wordBits]&(1<<(uint(j)%wordBits)) == 0 {
-			continue
-		}
-		wOK := t.w[j] || t.variant == VariantNoW
-		if t.a[j] && t.v[j] && wOK && t.s[j] && t.ppn[j] != ppn {
+		if t.Older(i, j) && t.matches(j, ppn) {
 			return false
 		}
 	}
 	return true
 }
 
-// Older reports whether entry j is marked older than entry i (test hook).
+// Older reports whether entry j is older than entry i: allocated, and
+// allocated before i (the Mask bit j of entry i).
 func (t *TPBuf) Older(i, j int) bool {
 	t.checkIdx(i)
 	t.checkIdx(j)
-	return t.mask[i][j/wordBits]&(1<<(uint(j)%wordBits)) != 0
+	return t.a[j] && t.age[j] < t.age[i]
 }
 
 // Entry returns the status bits of entry i (test hook).
@@ -271,8 +270,7 @@ func (t *TPBuf) Entry(i int) (a, v, w, s bool, ppn uint64) {
 func (t *TPBuf) Reset() {
 	for i := 0; i < t.n; i++ {
 		t.Free(i)
-		for w := 0; w < t.words; w++ {
-			t.mask[i][w] = 0
-		}
+		t.age[i] = 0
 	}
+	t.clock = 0
 }

@@ -962,16 +962,24 @@ func (c *Coordinator) writeMetrics(w io.Writer) {
 		m.Sample("conspec_served_"+f.name, f.v)
 	}
 
+	// The text format wants each family's samples together: names outside,
+	// workers (sorted) inside.
 	sort.Slice(pushed, func(i, k int) bool { return pushed[i].id < pushed[k].id })
+	seen := make(map[string]bool)
+	var names []string
 	for _, p := range pushed {
-		names := make([]string, 0, len(p.metrics))
 		for name := range p.metrics {
-			names = append(names, name)
+			if !seen[name] && validMetricName(name) {
+				seen[name] = true
+				names = append(names, name)
+			}
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			if validMetricName(name) {
-				m.Sample("conspec_served_worker_"+name, p.metrics[name], "worker", p.id)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, p := range pushed {
+			if v, ok := p.metrics[name]; ok {
+				m.Sample("conspec_served_worker_"+name, v, "worker", p.id)
 			}
 		}
 	}

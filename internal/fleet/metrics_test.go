@@ -32,11 +32,31 @@ func (e statsExec) Execute(context.Context, serve.ExecJob) (*report.Report, exp.
 	return report.New(), e.stats, 0, nil
 }
 
+// pushedMetrics is what each test worker's heartbeat pushes: w1's
+// counters, and w2's, which share every name, so a two-worker exposition
+// shows each worker family with two samples.
+var pushedMetrics = map[string]map[string]uint64{
+	"w1": {
+		"active_leases":           1,
+		"cache_hits_local_total":  5,
+		"cache_hits_remote_total": 2,
+		"leases_done_total":       4,
+		"runs_executed_total":     9,
+	},
+	"w2": {
+		"active_leases":           2,
+		"cache_hits_local_total":  1,
+		"cache_hits_remote_total": 6,
+		"leases_done_total":       3,
+		"runs_executed_total":     8,
+	},
+}
+
 // exposition runs one lru job through a server over a disk cache and a
 // journal and returns its /metrics text once the job is counted. With
-// coordinator set the server sits behind a coordinator's handler that has
-// one worker, w1, whose heartbeat pushed counters.
-func exposition(t *testing.T, coordinator bool) string {
+// workers > 0 the server sits behind a coordinator's handler that has that
+// many workers, w1 then w2, whose heartbeats pushed counters.
+func exposition(t *testing.T, workers int) string {
 	t.Helper()
 	store, err := diskcache.Open(t.TempDir())
 	if err != nil {
@@ -53,17 +73,13 @@ func exposition(t *testing.T, coordinator bool) string {
 	}}})
 	t.Cleanup(s.Close)
 	h := s.Handler()
-	if coordinator {
+	if workers > 0 {
 		c := newTestCoordinator(t, CoordinatorOptions{})
-		mustRegister(t, c, "w1", 2)
-		if _, err := c.heartbeat(HeartbeatRequest{Worker: "w1", Metrics: map[string]uint64{
-			"active_leases":           1,
-			"cache_hits_local_total":  5,
-			"cache_hits_remote_total": 2,
-			"leases_done_total":       4,
-			"runs_executed_total":     9,
-		}}); err != nil {
-			t.Fatal(err)
+		for _, w := range []string{"w1", "w2"}[:workers] {
+			mustRegister(t, c, w, 2)
+			if _, err := c.heartbeat(HeartbeatRequest{Worker: w, Metrics: pushedMetrics[w]}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		h = c.Handler(h)
 	}
@@ -114,15 +130,19 @@ func samples(text string) string {
 	return b.String()
 }
 
-// TestExpositionGolden pins every sample line of both expositions and
-// their order.
+// TestExpositionGolden pins every sample line of the expositions and their
+// order: standalone, and behind a coordinator with one and two workers.
 func TestExpositionGolden(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		coordinator bool
-	}{{"metrics_standalone.txt", false}, {"metrics_coordinator.txt", true}} {
+		name    string
+		workers int
+	}{
+		{"metrics_standalone.txt", 0},
+		{"metrics_coordinator.txt", 1},
+		{"metrics_coordinator_2workers.txt", 2},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := samples(exposition(t, tc.coordinator))
+			got := samples(exposition(t, tc.workers))
 			path := filepath.Join("testdata", tc.name)
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {

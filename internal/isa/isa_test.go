@@ -192,6 +192,94 @@ func TestFlatMemBytes(t *testing.T) {
 	}
 }
 
+// TestFlatMemFetchMatchesRead: Fetch returns Read(pc, 8) at aligned,
+// misaligned and page-straddling PCs, on resident and non-resident pages,
+// while data reads and writes on other pages move the data cursor between
+// fetches.
+func TestFlatMemFetchMatchesRead(t *testing.T) {
+	m := NewFlatMem()
+	rng := rand.New(rand.NewSource(3))
+	for pg := uint64(4); pg < 8; pg++ { // pages 4..7 resident, 8 not
+		b := make([]byte, PageSize)
+		rng.Read(b)
+		m.SetBytes(pg*PageSize, b)
+	}
+	var pcs []uint64
+	for pg := uint64(4); pg <= 8; pg++ {
+		base := pg * PageSize
+		for off := uint64(0); off < 16; off++ {
+			pcs = append(pcs, base+off, base+0x800+off, base+PageSize-16+off)
+		}
+	}
+	for i, pc := range pcs {
+		if i%3 == 0 {
+			m.Read(0x100000+uint64(i)*8, 8) // a data access elsewhere
+			m.Write(6*PageSize+uint64(i), 1, uint64(i))
+		}
+		if got, want := m.Fetch(pc), m.Read(pc, 8); got != want {
+			t.Fatalf("Fetch(%#x) = %#x, Read = %#x", pc, got, want)
+		}
+	}
+}
+
+// TestFlatMemFetchSeededPage: on a seeded, non-resident page Fetch sees the
+// seeded words and leaves the page non-resident; once a Write makes the
+// page resident, Fetch sees both the seeds and the write.
+func TestFlatMemFetchSeededPage(t *testing.T) {
+	m := NewFlatMem()
+	m.Seed(0x3000, 0x1122334455667788)
+	m.Seed(0x3ff8, 0x99AABBCCDDEEFF00)
+	for _, pc := range []uint64{0x3000, 0x3004, 0x3ff8, 0x3ffc, 0x3100} {
+		if got, want := m.Fetch(pc), m.Read(pc, 8); got != want {
+			t.Fatalf("seeded Fetch(%#x) = %#x, Read = %#x", pc, got, want)
+		}
+	}
+	if got := m.Fetch(0x3000); got != 0x1122334455667788 {
+		t.Fatalf("seeded Fetch = %#x", got)
+	}
+	if m.Pages() != 0 {
+		t.Fatalf("Fetch made %d pages resident", m.Pages())
+	}
+	m.Write(0x3008, 8, 0xCAFE)
+	if m.Pages() != 1 {
+		t.Fatalf("%d resident pages after the first write, want 1", m.Pages())
+	}
+	for pc, want := range map[uint64]uint64{
+		0x3000: 0x1122334455667788,
+		0x3008: 0xCAFE,
+		0x3ff8: 0x99AABBCCDDEEFF00,
+	} {
+		if got := m.Fetch(pc); got != want {
+			t.Fatalf("Fetch(%#x) after residency = %#x, want %#x", pc, got, want)
+		}
+	}
+}
+
+// TestFlatMemFetchSeesWrites: a Write or SetBytes to the page the fetch
+// cursor holds is visible to the very next Fetch, also when another page's
+// access moved the data cursor in between.
+func TestFlatMemFetchSeesWrites(t *testing.T) {
+	m := NewFlatMem()
+	const pc = 0x5040
+	m.Write(pc, 8, 1)
+	if got := m.Fetch(pc); got != 1 {
+		t.Fatalf("Fetch = %#x, want 1", got)
+	}
+	m.Write(pc, 8, 0x0102030405060708)
+	if got := m.Fetch(pc); got != 0x0102030405060708 {
+		t.Fatalf("Fetch after Write = %#x", got)
+	}
+	m.Write(0x9000, 8, 5) // the data cursor moves to another page
+	m.Write(pc+1, 1, 0xEE)
+	if got := m.Fetch(pc); got != 0x010203040506EE08 {
+		t.Fatalf("Fetch after a byte Write = %#x", got)
+	}
+	m.SetBytes(pc+6, []byte{0xAA, 0xBB})
+	if got := m.Fetch(pc); got != 0xBBAA03040506EE08 {
+		t.Fatalf("Fetch after SetBytes = %#x", got)
+	}
+}
+
 // seedSpan is the address window runSeedOps works in: three pages, so
 // accesses straddle two page boundaries.
 const (
@@ -202,7 +290,8 @@ const (
 // runSeedOps decodes data into a sequence of operations, each one opcode
 // byte and two address bytes (value and size bytes follow where needed),
 // and applies it to two memories: one that seeds words with Seed and one
-// that writes them eagerly with Write. Every read must agree, and the
+// that writes them eagerly with Write. Every read must agree (a Fetch of
+// the seeded memory with an 8-byte Read of the eager one), and the
 // seeded memory may never hold more resident pages than the eager one.
 func runSeedOps(t *testing.T, data []byte) {
 	t.Helper()
@@ -236,6 +325,9 @@ func runSeedOps(t *testing.T, data []byte) {
 		case 2:
 			if s, e := seeded.Read(addr, size), eager.Read(addr, size); s != e {
 				t.Fatalf("step %d: Read(%#x, %d) = %#x, eager %#x", step, addr, size, s, e)
+			}
+			if s, e := seeded.Fetch(addr), eager.Read(addr, 8); s != e {
+				t.Fatalf("step %d: Fetch(%#x) = %#x, eager Read %#x", step, addr, s, e)
 			}
 		case 3:
 			if s, e := seeded.ByteAt(addr), eager.ByteAt(addr); s != e {

@@ -40,6 +40,16 @@ type FlatMem struct {
 	// the common case from a map lookup into one compare.
 	lastPPN  uint64
 	lastPage *[PageSize]byte
+
+	// codePPN/codePage are Fetch's own one-entry cursor. Instruction and
+	// data accesses interleave every cycle on different pages; with one
+	// shared cursor they would evict each other and fall back to the map.
+	// Both cursors hold resident pages only, and a resident page is never
+	// freed or moved, so neither needs invalidating: a write lands in the
+	// same array the cursor points at. Code that ever recycles pages must
+	// clear both.
+	codePPN  uint64
+	codePage *[PageSize]byte
 }
 
 // seedWord is one seeded 8-byte word at an aligned offset within its page.
@@ -131,6 +141,14 @@ func (m *FlatMem) Read(addr uint64, size int) uint64 {
 	if off+uint64(size) <= PageSize {
 		var v uint64
 		p := m.page(addr>>PageBits, false)
+		if p != nil && off <= PageSize-8 {
+			// One 8-byte load, masked down to size.
+			v = binary.LittleEndian.Uint64(p[off : off+8])
+			if size < 8 {
+				v &= 1<<(8*size) - 1
+			}
+			return v
+		}
 		if p == nil {
 			ws := m.seeds[addr>>PageBits]
 			if len(ws) == 0 {
@@ -151,6 +169,27 @@ func (m *FlatMem) Read(addr uint64, size int) uint64 {
 		v |= uint64(m.ByteAt(addr+uint64(i))) << (8 * i)
 	}
 	return v
+}
+
+// Fetch returns the 8-byte instruction word at pc; it equals Read(pc, 8).
+// It reads through its own code-page cursor, so the fetch stream keeps its
+// page while loads and stores move the data cursor. A non-resident page
+// (seeded or never written) or a pc whose word straddles a page boundary
+// takes Read's path, and the cursor never holds a nil page: the write
+// that later makes the page resident is seen by the next Fetch.
+func (m *FlatMem) Fetch(pc uint64) uint64 {
+	off := pc & (PageSize - 1)
+	if off > PageSize-8 {
+		return m.Read(pc, 8)
+	}
+	if ppn := pc >> PageBits; m.codePage == nil || m.codePPN != ppn {
+		p := m.pages[ppn]
+		if p == nil {
+			return m.Read(pc, 8)
+		}
+		m.codePPN, m.codePage = ppn, p
+	}
+	return binary.LittleEndian.Uint64(m.codePage[off : off+8])
 }
 
 // Write stores the low size bytes of val at addr, little-endian.

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"conspec/internal/asm"
@@ -45,38 +46,49 @@ func allocKernel() *asm.Program {
 	return b.MustAssemble(testBase)
 }
 
+// allocCase is one TestZeroAllocSteadyState configuration: a backend plus
+// the observers attached to it.
+type allocCase struct {
+	name    string
+	sec     SecurityConfig
+	metrics bool
+	flight  bool
+	sink    bool
+}
+
 // TestZeroAllocSteadyState pins the tentpole property: after warmup, the
 // cycle loop performs no heap allocations — the tried map, per-cycle
-// scratch slices, uop churn and sort closures are all gone.
+// scratch slices, uop churn and sort closures are all gone. Every
+// registered defense backend keeps it (the fence watermark is a scalar,
+// parked delay-on-miss loads reuse a preallocated slice, invisible loads
+// change no bookkeeping), and so does the cache-hit+TPBuf backend with
+// each kind of observer attached.
 func TestZeroAllocSteadyState(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		sec     SecurityConfig
-		metrics bool
-		flight  bool
-		sink    bool
-	}{
-		{"origin", SecurityConfig{Mechanism: core.Origin}, false, false, false},
-		{"cachehit-tpbuf", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, false, false, false},
-		{"ssbd", SecurityConfig{Mechanism: core.Origin, SSBD: true}, false, false, false},
-		// The new Defense backends must keep the property: the fence
-		// watermark is a scalar, parked delay-on-miss loads reuse a
-		// preallocated slice, and invisible loads change no bookkeeping.
-		{"fence", SecurityConfig{Mechanism: core.Fence}, false, false, false},
-		{"delay-on-miss", SecurityConfig{Mechanism: core.DelayOnMiss, Scope: core.ScopeBranchMem}, false, false, false},
-		{"invisispec", SecurityConfig{Mechanism: core.InvisiSpec}, false, false, false},
+	var cases []allocCase
+	for _, d := range core.Defenses() {
+		// "cachehit+tpbuf" runs as cachehit-tpbuf, the prefix of its
+		// observer variants below.
+		cases = append(cases, allocCase{
+			name: strings.ReplaceAll(d.Name(), "+", "-"),
+			sec:  SecurityConfig{Mechanism: d.Mechanism(), SSBD: d.SSBD()},
+		})
+	}
+	origin := SecurityConfig{Mechanism: core.Origin}
+	tpbuf := SecurityConfig{Mechanism: core.CacheHitTPBuf}
+	cases = append(cases,
 		// The obs contract: an attached registry with interval sampling
 		// costs array writes only — still zero allocations per cycle.
-		{"origin-metrics", SecurityConfig{Mechanism: core.Origin}, true, false, false},
-		{"cachehit-tpbuf-metrics", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, true, false, false},
+		allocCase{"origin-metrics", origin, true, false, false},
+		allocCase{"cachehit-tpbuf-metrics", tpbuf, true, false, false},
 		// The flight recorder's contract: an armed recorder is ring stores
 		// only — still zero allocations per cycle, even alongside metrics.
-		{"origin-flight", SecurityConfig{Mechanism: core.Origin}, false, true, false},
-		{"cachehit-tpbuf-flight", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, true, true, false},
+		allocCase{"origin-flight", origin, false, true, false},
+		allocCase{"cachehit-tpbuf-flight", tpbuf, true, true, false},
 		// Event delivery itself: with a sink attached every event is one
 		// by-value interface call — no disassembly, no boxing.
-		{"cachehit-tpbuf-sink", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, false, false, true},
-	} {
+		allocCase{"cachehit-tpbuf-sink", tpbuf, false, false, true},
+	)
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := allocKernel()
 			backing := isa.NewFlatMem()

@@ -688,7 +688,7 @@ func (c *CPU) squashFrom(fromSeq uint64, redirectPC uint64, cp *branch.Checkpoin
 			c.tpbuf.Free(c.cfg.LDQ + u.stqIdx)
 			u.stqIdx = -1
 		}
-		c.rob[(c.robHead+c.robCount-1)%len(c.rob)] = nil
+		c.rob[ringWrap(c.robHead+c.robCount-1, len(c.rob))] = nil
 		c.robCount--
 		// Back to the pool. Any stale wakeup registrations it leaves on
 		// regWaiters are neutralized by the wait1/wait2 match in wake()
@@ -841,7 +841,7 @@ func (c *CPU) commitStage() {
 		}
 		c.emit(obs.FlightCommit, u.seq, u.pc, 0, false)
 		c.rob[c.robHead] = nil
-		c.robHead = (c.robHead + 1) % len(c.rob)
+		c.robHead = ringWrap(c.robHead+1, len(c.rob))
 		c.robCount--
 		c.stats.Committed++
 		// Retired: recycle. No structure references u past this point

@@ -638,16 +638,28 @@ func (c *CPU) step() {
 	}
 }
 
-// robAt returns the uop at ROB position (head+i)%size.
+// ringWrap reduces a ring index i in [0, 2*n) into [0, n). The ROB and
+// fetch-queue index paths use it in place of %: every index they form is a
+// position below twice the ring size, so one compare-and-subtract wraps it
+// and no division sits on the per-instruction path.
+func ringWrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
+}
+
+// robAt returns the uop at ROB position (head+i) mod size, for i in
+// [0, size).
 func (c *CPU) robAt(i int) *uop {
-	return c.rob[(c.robHead+i)%len(c.rob)]
+	return c.rob[ringWrap(c.robHead+i, len(c.rob))]
 }
 
 // robFull reports whether the ROB has no free entry.
 func (c *CPU) robFull() bool { return c.robCount == len(c.rob) }
 
 func (c *CPU) robPush(u *uop) {
-	c.rob[(c.robHead+c.robCount)%len(c.rob)] = u
+	c.rob[ringWrap(c.robHead+c.robCount, len(c.rob))] = u
 	c.robCount++
 }
 

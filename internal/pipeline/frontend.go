@@ -35,7 +35,7 @@ func (c *CPU) fetchStage() {
 			return
 		}
 
-		in := isa.Decode(c.hier.Backing.Read(pc, isa.InstBytes))
+		in := isa.Decode(c.hier.Backing.Fetch(pc))
 		if !in.Valid() {
 			// Fetch ran off the program (almost always down a wrong path).
 			// Stop fetching until a squash redirects.
@@ -45,18 +45,18 @@ func (c *CPU) fetchStage() {
 
 		c.seq++
 		u := c.allocUop()
-		// Whole-struct assignment both resets a recycled uop and
-		// initializes a fresh one.
-		*u = uop{
-			seq:   c.seq,
-			pc:    pc,
-			inst:  in,
-			fu:    in.Op.Unit(),
-			iqIdx: -1, ldqIdx: -1, stqIdx: -1,
-			pdst: -1, psrc1: -1, psrc2: -1, oldPdst: -1,
-			wait1: -1, wait2: -1,
-			readyAt: c.cycle + uint64(c.cfg.FrontendDepth),
-		}
+		// Zeroing the uop and then setting the fields fetch owns resets a
+		// recycled uop in place; a composite literal would be built on the
+		// stack and block-copied over the whole struct.
+		*u = uop{}
+		u.seq = c.seq
+		u.pc = pc
+		u.inst = in
+		u.fu = in.Op.Unit()
+		u.iqIdx, u.ldqIdx, u.stqIdx = -1, -1, -1
+		u.pdst, u.psrc1, u.psrc2, u.oldPdst = -1, -1, -1, -1
+		u.wait1, u.wait2 = -1, -1
+		u.readyAt = c.cycle + uint64(c.cfg.FrontendDepth)
 
 		next := pc + isa.InstBytes
 		endGroup := false

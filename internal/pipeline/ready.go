@@ -145,14 +145,14 @@ func (c *CPU) truncWaiters(p int) {
 
 // fqPush appends u to the fetch-queue ring. The caller checks capacity.
 func (c *CPU) fqPush(u *uop) {
-	c.fetchQ[(c.fqHead+c.fqLen)%c.fetchQCap] = u
+	c.fetchQ[ringWrap(c.fqHead+c.fqLen, c.fetchQCap)] = u
 	c.fqLen++
 }
 
 // fqPop removes the oldest fetch-queue entry (which the caller holds).
 func (c *CPU) fqPop() {
 	c.fetchQ[c.fqHead] = nil
-	c.fqHead = (c.fqHead + 1) % c.fetchQCap
+	c.fqHead = ringWrap(c.fqHead+1, c.fetchQCap)
 	c.fqLen--
 }
 
