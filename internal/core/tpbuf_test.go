@@ -238,6 +238,19 @@ func (r *refTPBuf) free(i int) {
 	delete(r.state, i)
 }
 
+// older reports whether live entry j was allocated before entry i.
+func (r *refTPBuf) older(i, j int) bool {
+	for _, k := range r.order {
+		switch k {
+		case j:
+			return true
+		case i:
+			return false
+		}
+	}
+	return false
+}
+
 func (r *refTPBuf) safe(i int, ppn uint64) bool {
 	for _, j := range r.order {
 		if j == i {
@@ -252,7 +265,10 @@ func (r *refTPBuf) safe(i int, ppn uint64) bool {
 }
 
 // TestTPBufDifferential runs random operation sequences against the
-// reference model.
+// reference model. Allocate also hits live slots without a Free first (the
+// slot's new occupant is then the youngest). After every operation Older
+// must match the reference allocation order for every live pair,
+// and on every query the auditor's readout must agree with QuerySafe.
 func TestTPBufDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -299,7 +315,19 @@ func TestTPBufDifferential(t *testing.T) {
 			case 5:
 				if live[i] {
 					ppn := uint64(rng.Intn(8))
-					if b.QuerySafe(i, ppn) != ref.safe(i, ppn) {
+					audit := b.AuditSafe(i, ppn)
+					safe := b.QuerySafe(i, ppn)
+					if safe != ref.safe(i, ppn) || audit != safe {
+						t.Logf("seed %d step %d: entry %d page %d: QuerySafe %v, AuditSafe %v, reference %v",
+							seed, step, i, ppn, safe, audit, ref.safe(i, ppn))
+						return false
+					}
+				}
+			}
+			for i := range live {
+				for j := range live {
+					if want := i != j && ref.older(i, j); b.Older(i, j) != want {
+						t.Logf("seed %d step %d: Older(%d, %d) = %v, reference %v", seed, step, i, j, !want, want)
 						return false
 					}
 				}
