@@ -42,9 +42,10 @@ GO ?= go
 
 # The benchmarks whose numbers are tracked across PRs in BENCH_*.json:
 # the end-to-end Figure 5 evaluation, per-simulation set-up on its own
-# (generate, load and build the machine for all 22 profiles), and the
-# per-component microbenches.
-TRACKED_BENCHES = ^(BenchmarkFig5|BenchmarkSimSetup|BenchmarkSimulatorThroughput|BenchmarkSecMatrixDispatch|BenchmarkSecMatrixHazardCheck|BenchmarkTPBufQuery|BenchmarkCacheAccess)$$
+# (generate, load and build the machine for all 22 profiles), the engine's
+# memo-hit path on its own (a warm defenses job and a warm Figure 5 on one
+# Runner; tracked, not gated), and the per-component microbenches.
+TRACKED_BENCHES = ^(BenchmarkFig5|BenchmarkSimSetup|BenchmarkMemoHit|BenchmarkSimulatorThroughput|BenchmarkSecMatrixDispatch|BenchmarkSecMatrixHazardCheck|BenchmarkTPBufQuery|BenchmarkCacheAccess)$$
 
 .PHONY: all build fmt vet perfbench-vet perfbench-test lint lint-defense test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix tier1 bench bench-snapshot bench-compare bench-pairs profile
 

@@ -18,6 +18,7 @@ package conspec
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"conspec/internal/asm"
@@ -272,6 +273,57 @@ func BenchmarkSimSetup(b *testing.B) {
 			cpu.SetPC(w.Entry)
 			cpu.Release()
 		}
+	}
+}
+
+// warmRunner is a Runner that has run the defenses suite for every backend
+// over all 22 profiles at a 2k+5k budget, which covers the Figure 5
+// evaluation's runs too. It is built once per process, so the repeated
+// calls the benchmark harness makes of BenchmarkMemoHit pay for it once.
+var warmRunner = sync.OnceValues(func() (*exp.Runner, error) {
+	r := exp.NewRunner(exp.RunnerOptions{})
+	_, err := r.Defenses(context.Background(), memoHitSpec(), nil, nil, memoHitAttackCore())
+	return r, err
+})
+
+func memoHitSpec() exp.RunSpec {
+	s := exp.DefaultSpec()
+	s.Warmup = 2_000
+	s.Measure = 5_000
+	return s
+}
+
+func memoHitAttackCore() config.Core {
+	cfg := config.PaperCore()
+	cfg.Mem.L2Size = 256 * 1024
+	cfg.Mem.L3Size = 1024 * 1024
+	return cfg
+}
+
+// BenchmarkMemoHit measures the engine's memo-hit path on its own: one op
+// is a warm defenses job (every backend over all 22 profiles: 352 run hits
+// and 8 verdict hits) and a warm Figure 5 evaluation (88 run hits) on one
+// Runner. Nothing is simulated inside the timed loop.
+func BenchmarkMemoHit(b *testing.B) {
+	r, err := warmRunner()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	spec := memoHitSpec()
+	executed := r.Stats().Executed
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Defenses(ctx, spec, nil, nil, memoHitAttackCore()); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Evaluation(ctx, spec, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := r.Stats().Executed; n != executed {
+		b.Fatalf("warm jobs executed %d runs", n-executed)
 	}
 }
 

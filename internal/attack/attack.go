@@ -75,7 +75,10 @@ const (
 	rTmpB    = asm.T1
 )
 
-// Harness bundles a ready-to-run attack program.
+// Harness bundles a ready-to-run attack program. A harness is a pure
+// function of its scenario name and the core it is built for, and Run is
+// deterministic, so an outcome is fixed by (name, core, security
+// configuration): the experiment engine memoizes verdicts on that key.
 type Harness struct {
 	Name string
 	// Class is the Table IV row this scenario belongs to.

@@ -107,6 +107,24 @@ func TestScenarioMetadata(t *testing.T) {
 	}
 }
 
+// TestScenarioNames: every listed name is the Name its builder gives the
+// harness, so ByName builds the scenario it was asked for and Scenarios
+// comes out in ScenarioNames order.
+func TestScenarioNames(t *testing.T) {
+	cfg := attackCore()
+	names := ScenarioNames()
+	for i, h := range Scenarios(cfg) {
+		if h.Name != names[i] {
+			t.Errorf("scenario %d is named %q, listed as %q", i, h.Name, names[i])
+		}
+		if b, ok := ByName(cfg, names[i]); !ok {
+			t.Errorf("ByName(%q) found nothing", names[i])
+		} else if b.Name != names[i] {
+			t.Errorf("ByName(%q) built %q", names[i], b.Name)
+		}
+	}
+}
+
 func TestSecretValuesValid(t *testing.T) {
 	for i, s := range defaultSecret {
 		if s == 0 || int(s) >= probeEntries {

@@ -16,28 +16,50 @@ const (
 	ClassEvictTimePrivate  = "Evict+Time, no shared data"
 )
 
-// Scenarios builds every attack for the given core configuration, in
-// Table IV order followed by the extra variant coverage (V2, V4).
-func Scenarios(cfg config.Core) []*Harness {
-	return []*Harness{
-		V1FlushReload(cfg),
-		V1FlushFlush(cfg),
-		V1EvictReload(cfg),
-		SpectrePrime(cfg),
-		PrimeProbeNonShared(cfg),
-		EvictTimeNonShared(cfg),
-		V2FlushReload(cfg),
-		V4FlushReload(cfg),
-		V11FlushReload(cfg),
-		RSBFlushReload(cfg),
-	}
+// scenarios is every attack by name, in Table IV order followed by the
+// extra variant coverage (V2, V4). Each name is the Name its builder gives
+// the harness (TestScenarioNames).
+var scenarios = []struct {
+	name  string
+	build func(config.Core) *Harness
+}{
+	{"spectre-v1/flush+reload", V1FlushReload},
+	{"spectre-v1/flush+flush", V1FlushFlush},
+	{"spectre-v1/evict+reload", V1EvictReload},
+	{"spectre-prime/prime+probe", SpectrePrime},
+	{"v1-samepage/prime+probe", PrimeProbeNonShared},
+	{"v1-samepage/evict+time", EvictTimeNonShared},
+	{"spectre-v2/flush+reload", V2FlushReload},
+	{"spectre-v4/flush+reload", V4FlushReload},
+	{"spectre-v1.1/flush+reload", V11FlushReload},
+	{"spectre-rsb/flush+reload", RSBFlushReload},
 }
 
-// ByName returns the named scenario.
+// Scenarios builds every attack for the given core configuration, in
+// ScenarioNames order.
+func Scenarios(cfg config.Core) []*Harness {
+	hs := make([]*Harness, len(scenarios))
+	for i, s := range scenarios {
+		hs[i] = s.build(cfg)
+	}
+	return hs
+}
+
+// ScenarioNames lists every attack's name, in Table IV order followed by
+// the extra variant coverage (V2, V4), without building any.
+func ScenarioNames() []string {
+	names := make([]string, len(scenarios))
+	for i, s := range scenarios {
+		names[i] = s.name
+	}
+	return names
+}
+
+// ByName builds the named scenario, and only that one.
 func ByName(cfg config.Core, name string) (*Harness, bool) {
-	for _, h := range Scenarios(cfg) {
-		if h.Name == name {
-			return h, true
+	for _, s := range scenarios {
+		if s.name == name {
+			return s.build(cfg), true
 		}
 	}
 	return nil, false

@@ -66,14 +66,19 @@ func resolveDefenses(names []string) ([]core.Defense, error) {
 	return defs, nil
 }
 
+// v1Scenario names the canonical Spectre V1 Flush+Reload PoC
+// (attack.V1FlushReload), the attack behind every defense row's verdict.
+const v1Scenario = "spectre-v1/flush+reload"
+
 // Defenses runs the defense-matrix suite: every requested backend (all
 // registered ones when defNames is nil) is measured for average overhead vs
 // origin on the requested benchmarks, and attacked with the canonical V1
 // Flush+Reload PoC for a leak verdict. Overhead runs flow through the memo
 // cache — the paper variants share keys with fig5, invisispec with the
-// compare suite — while attack runs bypass it like table4's. The verdicts
-// run next to the overhead runs, each holding a worker slot (v1Verdict).
-// The verdicts are never stored, so the suite's row is not Stored and a
+// compare suite — and so do the verdicts (Runner.attack): the paper
+// variants' share table4's V1 Flush+Reload cells on the same attack core.
+// The verdicts run next to the overhead runs, each holding a worker slot.
+// They are not in the result store, so the suite's row is not Stored and a
 // store-only Runner refuses the suite before any verdict starts.
 func (r *Runner) Defenses(ctx context.Context, spec RunSpec, names []string, defNames []string, attackCfg config.Core) (*DefensesResult, error) {
 	if err := r.refuseUnstored(SuiteDefenses); err != nil {
@@ -91,7 +96,7 @@ func (r *Runner) Defenses(ctx context.Context, spec RunSpec, names []string, def
 	// overhead runs and each other; all are joined before Defenses returns.
 	v1 := make([]func() (attack.Outcome, error), len(defs))
 	for i, d := range defs {
-		v1[i] = r.v1Verdict(ctx, attackCfg, SecFor(d))
+		v1[i] = r.attack(ctx, SuiteDefenses, v1Scenario, attackCfg, SecFor(d))
 	}
 	defer func() {
 		for _, wait := range v1 {
@@ -131,32 +136,6 @@ func (r *Runner) Defenses(ctx context.Context, spec RunSpec, names []string, def
 				100*row.Overhead, verdict(row.Leaked))})
 	}
 	return out, nil
-}
-
-// v1Verdict starts the V1 Flush+Reload PoC for sec on the attack machine
-// cfg on its own goroutine, which takes a worker slot first so the PoC
-// counts against the pool like any simulation. The returned function joins
-// that goroutine and returns the outcome, or ctx.Err() if ctx ended before
-// a slot came free.
-func (r *Runner) v1Verdict(ctx context.Context, cfg config.Core, sec pipeline.SecurityConfig) func() (attack.Outcome, error) {
-	var o attack.Outcome
-	var err error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		select {
-		case r.sem <- struct{}{}:
-		case <-ctx.Done():
-			err = ctx.Err()
-			return
-		}
-		defer func() { <-r.sem }()
-		o = attack.V1FlushReload(cfg).Run(cfg, sec)
-	}()
-	return func() (attack.Outcome, error) {
-		<-done
-		return o, err
-	}
 }
 
 func verdict(leaked bool) string {

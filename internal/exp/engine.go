@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"conspec/internal/attack"
+	"conspec/internal/config"
 	"conspec/internal/core"
 	"conspec/internal/mem"
 	"conspec/internal/obs"
@@ -133,8 +135,9 @@ type RunnerOptions struct {
 	// it never simulates. The first run that misses both tiers fails with
 	// ErrNotStored, and so does every run submitted after it; RunSuite then
 	// returns ErrNotStored. A suite whose registry row is not Stored (its
-	// work bypasses the memo) is refused with ErrNotStored before any
-	// lookup, through RunSuite or its driver called directly.
+	// attack verdicts are not in the result store) is refused with
+	// ErrNotStored before any lookup, through RunSuite or its driver called
+	// directly.
 	StoreOnly bool
 }
 
@@ -162,9 +165,9 @@ type RunError struct {
 }
 
 // Runner is the unified experiment engine: every suite submits
-// RunSpec-keyed jobs to it, identical runs across suites are deduplicated
-// through a memoization cache, and unique runs execute once on a bounded
-// worker pool.
+// RunSpec-keyed jobs and attack verdicts to it, identical requests across
+// suites are deduplicated through a memoization cache, and unique ones
+// execute once on a bounded worker pool.
 type Runner struct {
 	workers   int
 	onEvent   func(ProgressEvent)
@@ -182,7 +185,9 @@ type Runner struct {
 	evMu sync.Mutex // serializes onEvent
 
 	mu         sync.Mutex
+	keys       map[runID]runKey // each run's key, rendered once (keyOf)
 	cache      map[runKey]*cacheEntry
+	attacks    map[attackKey]*attackEntry
 	stats      Stats
 	errors     []RunError
 	suiteSpans map[SuiteID]trace.SpanID // open suite spans, for run-span parentage
@@ -190,9 +195,13 @@ type Runner struct {
 	// testExec, when non-nil, replaces RunWorkload (test hook for panic
 	// and determinism tests).
 	testExec func(w *workload.Workload, spec RunSpec) pipeline.Result
+	// testAttack, when non-nil, replaces Harness.Run (test hook for the
+	// attack memo).
+	testAttack func(h *attack.Harness, cfg config.Core, sec pipeline.SecurityConfig) attack.Outcome
 }
 
 type cacheEntry struct {
+	key  runKey
 	done chan struct{} // closed when res/err are final
 	res  pipeline.Result
 	err  error
@@ -213,7 +222,9 @@ func NewRunner(opts RunnerOptions) *Runner {
 		traceRoot:  opts.TraceRoot,
 		storeOnly:  opts.StoreOnly,
 		sem:        make(chan struct{}, workers),
+		keys:       make(map[runID]runKey),
 		cache:      make(map[runKey]*cacheEntry),
+		attacks:    make(map[attackKey]*attackEntry),
 		suiteSpans: make(map[SuiteID]trace.SpanID),
 	}
 }
@@ -296,6 +307,15 @@ func keyOf(p workload.Profile, spec RunSpec) runKey {
 	var k runKey
 	h.Sum(k[:0])
 	return k
+}
+
+// runID is a run's identity as Go compares it: the profile and the spec
+// with its observation-only FlightWindow zeroed, the inputs keyOf renders.
+// Two IDs are equal exactly when their keys are, except for a float field
+// holding -0 or NaN, which no registered profile or suite variant has.
+type runID struct {
+	p    workload.Profile
+	spec RunSpec
 }
 
 // mechLabel renders the run's security configuration for progress events,
@@ -392,17 +412,28 @@ func (r *Runner) stopped(ctx context.Context) error {
 // memory hits. It returns the run's entry and whether the caller owns it:
 // an owned entry missed both tiers and the caller must fill it; any other
 // entry is done or being filled by its owner. A store-only Runner owns no
-// entry: a miss leaves the memo map and ends with ErrNotStored.
+// entry: a miss leaves the memo map and ends with ErrNotStored. The run's
+// key is rendered (keyOf, a format of three structs and a hash) only the
+// first time the Runner sees the run, outside r.mu; after that it comes
+// from r.keys, so a memo hit is one locked pair of map lookups.
 func (r *Runner) lookup(suite SuiteID, p workload.Profile, spec RunSpec) (*cacheEntry, bool) {
-	key := keyOf(p, spec)
+	id := runID{p, spec}
+	id.spec.FlightWindow = 0
 	r.mu.Lock()
+	key, ok := r.keys[id]
+	if !ok {
+		r.mu.Unlock()
+		key = keyOf(p, spec)
+		r.mu.Lock()
+		r.keys[id] = key
+	}
 	if e, ok := r.cache[key]; ok {
 		r.stats.Hits++
 		r.mu.Unlock()
 		r.served(suite, p, spec, TierMemory)
 		return e, false
 	}
-	e := &cacheEntry{done: make(chan struct{})}
+	e := &cacheEntry{key: key, done: make(chan struct{})}
 	r.cache[key] = e
 	r.mu.Unlock()
 	if r.store != nil {
@@ -441,20 +472,19 @@ func (r *Runner) served(suite SuiteID, p workload.Profile, spec RunSpec, tier st
 }
 
 // fill executes an owned entry's simulation, memoizes a success in both
-// tiers (a failure leaves the memo map, so a later submission retries) and
-// releases the entry's waiters.
+// tiers under the key lookup computed (a failure leaves the memo map, so a
+// later submission retries) and releases the entry's waiters.
 func (r *Runner) fill(ctx context.Context, suite SuiteID, p workload.Profile, spec RunSpec, e *cacheEntry) {
 	e.res, e.err = r.execute(ctx, suite, p, spec)
-	key := keyOf(p, spec)
 	r.mu.Lock()
 	if e.err != nil {
-		delete(r.cache, key)
+		delete(r.cache, e.key)
 	} else {
 		r.stats.Executed++
 	}
 	r.mu.Unlock()
 	if e.err == nil && r.store != nil {
-		r.store.Put(key.String(), e.res)
+		r.store.Put(e.key.String(), e.res)
 	}
 	close(e.done)
 }

@@ -36,8 +36,9 @@ type Suite struct {
 	// Banner heads the suite's text output.
 	Banner string
 	// Stored reports whether a store-only Runner can answer the suite. It
-	// is false for suites whose work bypasses the memo: table4's attacks
-	// and the defenses suite's V1 verdicts.
+	// is false for suites whose work is not in the result store: table4's
+	// attack verdicts and the defenses suite's V1 verdicts, which the memo
+	// holds but the persistent tier does not.
 	Stored bool
 	// run drives the suite; text renders what run returned.
 	run  func(r *Runner, ctx context.Context, o Options) (any, error)
@@ -52,8 +53,8 @@ type Suite struct {
 // unchanged.
 var Suites []Suite
 
-// The table is filled in init because the drivers that bypass the memo
-// read their own row (refuseUnstored), which a package-level initializer
+// The table is filled in init because the drivers whose verdicts are not
+// in the result store read their own row (refuseUnstored), which a package-level initializer
 // that names those drivers may not do.
 func init() {
 	Suites = []Suite{

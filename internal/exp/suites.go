@@ -237,25 +237,39 @@ func ICacheText(r *ICacheResult) string {
 }
 
 // Table4 regenerates Table IV by running every attack scenario under every
-// mechanism. Attack runs are not RunSpec-shaped and bypass the memo cache
-// (so the suite's row is not Stored, and a store-only Runner refuses it),
-// but they honor cancellation: on ctx expiry the outcomes completed so far
-// are returned alongside ctx.Err().
+// mechanism. Its verdicts go through the memo like runs (Runner.attack) but
+// are not in the result store, so the suite's row is not Stored and a
+// store-only Runner refuses it. Every cell starts up front on the worker
+// pool and the cells are joined in table order, so the outcomes and their
+// progress events keep that order. On ctx expiry the outcomes completed
+// before it, in order, are returned alongside ctx.Err().
 func (r *Runner) Table4(ctx context.Context, cfg config.Core) ([]attack.Outcome, error) {
 	if err := r.refuseUnstored(SuiteTable4); err != nil {
 		return nil, err
 	}
-	var out []attack.Outcome
-	for _, h := range attack.Scenarios(cfg) {
+	var cells []func() (attack.Outcome, error)
+	for _, name := range attack.ScenarioNames() {
 		for _, m := range core.Mechanisms {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-			o := h.Run(cfg, pipeline.SecurityConfig{Mechanism: m})
-			out = append(out, o)
-			r.emit(ProgressEvent{Suite: SuiteTable4, Benchmark: o.Scenario,
-				Mechanism: o.Defense.Title(), Phase: PhaseBenchDone, Line: o.String()})
+			cells = append(cells, r.attack(ctx, SuiteTable4, name, cfg, pipeline.SecurityConfig{Mechanism: m}))
 		}
+	}
+	defer func() {
+		for _, wait := range cells {
+			wait()
+		}
+	}()
+	var out []attack.Outcome
+	for _, wait := range cells {
+		if err := ctx.Err(); err != nil {
+			return out, err
+		}
+		o, err := wait()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, o)
+		r.emit(ProgressEvent{Suite: SuiteTable4, Benchmark: o.Scenario,
+			Mechanism: o.Defense.Title(), Phase: PhaseBenchDone, Line: o.String()})
 	}
 	return out, nil
 }
