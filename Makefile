@@ -2,10 +2,11 @@
 #
 #   make tier1          — the PR gate: build, lint (gofmt + vet), vet and
 #                         tests of the perfbench benchmark module, full test
-#                         suite, the race detector over the experiment
-#                         engine's worker pool, the cache tag-array pool,
-#                         the obs sinks, and the serve daemon, the chaos gate (fault-injection corpus +
-#                         self-checking stress), a one-iteration
+#                         suite (with scripts/pairstat's gate tests), the
+#                         race detector over the experiment engine's worker
+#                         pool, the cache tag-array pool, the obs sinks, and
+#                         the serve daemon, the chaos gate (fault-injection
+#                         corpus + self-checking stress), a one-iteration
 #                         BenchmarkFig5 smoke run, the conspec-served
 #                         end-to-end smoke (submit, drain, warm-cache
 #                         restart), the crash smoke (kill -9 mid-suite,
@@ -21,18 +22,16 @@
 #                         must be caught, and every mechanism must survive
 #                         a per-cycle invariant audit over the random-program
 #                         corpus.
-#   make bench-snapshot — run the tracked benchmark set and write
-#                         BENCH_<sha>.json via cmd/conspec-benchstat.
-#   make bench-compare OLD=BENCH_<a>.json NEW=BENCH_<b>.json
-#                       — diff two BENCH_*.json snapshots and FAIL (exit 1)
-#                         if BenchmarkFig5 or any BenchmarkSecMatrix*
-#                         regressed ns/op by more than 5% — the perf gate for
-#                         perf-sensitive PRs. The pair is named explicitly:
-#                         a checkout gives every snapshot the same mtime.
 #   make bench-pairs PARENT=<rev> WORKLOAD=<w> SEEDS="1 … 10"
-#                       — run perfbench on the parent and the working tree
-#                         in alternating pairs and print the medians, IQRs,
-#                         changes and "better in N/M" per metric.
+#                       — the repository's benchmark system and the perf gate
+#                         for perf-sensitive PRs: run a BENCHMARK.json
+#                         workload, or go-bench (the tracked Go benchmarks),
+#                         on the parent and the working tree in alternating
+#                         pairs, print the medians, IQRs, changes, "better in
+#                         N/M" and sign-test p per metric, and FAIL (exit 1)
+#                         on a significant regression beyond a bound: an
+#                         end-to-end metric's BENCHMARK.json bound, or 5% on
+#                         the ns/op of BenchmarkFig5 and BenchmarkSecMatrix*.
 #   make profile        — CPU-profile five BenchmarkFig5 iterations and print
 #                         the cumulative shares of the cycle step, the five
 #                         stages, FlatMem.Read/Fetch and TPBuf.Allocate (not
@@ -40,14 +39,7 @@
 
 GO ?= go
 
-# The benchmarks whose numbers are tracked across PRs in BENCH_*.json:
-# the end-to-end Figure 5 evaluation, per-simulation set-up on its own
-# (generate, load and build the machine for all 22 profiles), the engine's
-# memo-hit path on its own (a warm defenses job and a warm Figure 5 on one
-# Runner; tracked, not gated), and the per-component microbenches.
-TRACKED_BENCHES = ^(BenchmarkFig5|BenchmarkSimSetup|BenchmarkMemoHit|BenchmarkSimulatorThroughput|BenchmarkSecMatrixDispatch|BenchmarkSecMatrixHazardCheck|BenchmarkTPBufQuery|BenchmarkCacheAccess)$$
-
-.PHONY: all build fmt vet perfbench-vet perfbench-test lint lint-defense test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix tier1 bench bench-snapshot bench-compare bench-pairs profile
+.PHONY: all build fmt vet perfbench-vet perfbench-test lint lint-defense test race chaos benchsmoke serve-smoke crash-smoke trace-smoke fleet-smoke defense-matrix tier1 bench bench-pairs profile
 
 all: tier1
 
@@ -159,23 +151,9 @@ tier1: build lint perfbench-vet perfbench-test test race chaos benchsmoke serve-
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
 
-bench-snapshot:
-	$(GO) test -run '^$$' -bench '$(TRACKED_BENCHES)' -benchmem . \
-	    | $(GO) run ./cmd/conspec-benchstat -snapshot \
-	        -sha $$(git rev-parse --short HEAD) \
-	        -out BENCH_$$(git rev-parse --short HEAD).json
-	@echo wrote BENCH_$$(git rev-parse --short HEAD).json
-
-# Compare two snapshots named as OLD (the base) and NEW.
-# The gate fails the target when a perf-critical benchmark (Fig5 or the
-# SecMatrix kernels) regressed its ns/op by more than 5%.
-bench-compare:
-	@if [ -z "$(OLD)" ] || [ -z "$(NEW)" ]; then \
-	    echo 'usage: make bench-compare OLD=BENCH_<old>.json NEW=BENCH_<new>.json'; exit 2; fi
-	$(GO) run ./cmd/conspec-benchstat -compare -fail-on-regress 5 "$(OLD)" "$(NEW)"
-
-# Paired end-to-end benchmark runs against a parent revision (see
-# scripts/benchpairs.sh); each run's length is BENCHMARK.json's run_seconds.
+# Paired benchmark runs against a parent revision, gated by scripts/pairstat
+# (see scripts/benchpairs.sh); a perfbench run's length is BENCHMARK.json's
+# run_seconds, WORKLOAD=go-bench pairs the tracked Go benchmarks.
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 bench-pairs:
 	@if [ -z "$(PARENT)" ] || [ -z "$(WORKLOAD)" ]; then \

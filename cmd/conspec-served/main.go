@@ -29,8 +29,7 @@
 //
 //	standalone   (default) everything in one process, as above
 //	coordinator  the same public API, but jobs are leased to registered
-//	             workers; /fleet/v1/ endpoints and fleet metrics appear,
-//	             and -submit-rate/-submit-burst add per-client quotas
+//	             workers; /fleet/v1/ endpoints and fleet metrics appear
 //	worker       no public API: join a coordinator with -join, lease jobs
 //	             (-slots at a time), execute them against the coordinator's
 //	             result store layered over the local -cache-dir, publish
@@ -88,8 +87,6 @@ func main() {
 		workerName = flag.String("worker-name", "", "stable worker name to register under (worker role; empty = coordinator assigns)")
 		hbEvery    = flag.Duration("heartbeat", 2*time.Second, "worker heartbeat interval (coordinator role)")
 		hbTimeout  = flag.Duration("heartbeat-timeout", 0, "silence before a worker is declared lost and its leases re-queued (coordinator role; 0 = 3x heartbeat)")
-		submitRate = flag.Float64("submit-rate", 0, "per-client submissions/second quota on POST /v1/jobs (coordinator role; 0 = no quota)")
-		submitBrst = flag.Int("submit-burst", 8, "per-client submission burst above -submit-rate (coordinator role)")
 	)
 	flag.Parse()
 	if *version {
@@ -183,10 +180,6 @@ func main() {
 		defer coord.Close()
 		cfg.Executor = coord
 		cfg.Capacity = coord.Capacity
-		if *submitRate > 0 {
-			cfg.Limiter = fleet.NewLimiter(*submitRate, *submitBrst)
-			logger.Printf("submit quota: %.3g/s per client (burst %d)", *submitRate, *submitBrst)
-		}
 	}
 
 	srv := serve.New(cfg)

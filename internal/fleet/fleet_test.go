@@ -592,35 +592,6 @@ func TestRemoteAndTieredStore(t *testing.T) {
 	}
 }
 
-// TestLimiter: per-client token buckets — bursts pass, floods get a
-// Retry-After, clients are independent, and tokens refill over time.
-func TestLimiter(t *testing.T) {
-	l := NewLimiter(1, 3)
-	now := time.Unix(1000, 0)
-	l.now = func() time.Time { return now }
-
-	for i := 0; i < 3; i++ {
-		if ok, _ := l.Allow("alice"); !ok {
-			t.Fatalf("burst allowance %d denied", i)
-		}
-	}
-	ok, wait := l.Allow("alice")
-	if ok || wait < time.Second {
-		t.Fatalf("over-budget allow = %v wait=%v", ok, wait)
-	}
-	if ok, _ := l.Allow("bob"); !ok {
-		t.Fatal("independent client throttled")
-	}
-	now = now.Add(1500 * time.Millisecond) // refills 1.5 tokens
-	if ok, _ := l.Allow("alice"); !ok {
-		t.Fatal("refilled token denied")
-	}
-	ok, _ = l.Allow("alice")
-	if ok {
-		t.Fatal("half a token should not allow")
-	}
-}
-
 // TestJobKeyCoalescingKey: specs differing in any result-affecting field
 // must not coalesce.
 func TestJobKeyCoalescingKey(t *testing.T) {

@@ -1,94 +1,16 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
-	"sync"
 	"testing"
-	"time"
 
 	"conspec/internal/exp"
 	"conspec/internal/exp/report"
 	"conspec/internal/pipeline"
 )
-
-// fakeLimiter denies every client after the first n submissions.
-type fakeLimiter struct {
-	mu    sync.Mutex
-	allow int
-	seen  []string
-}
-
-func (f *fakeLimiter) Allow(client string) (bool, time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.seen = append(f.seen, client)
-	if f.allow > 0 {
-		f.allow--
-		return true, 0
-	}
-	return false, 7 * time.Second
-}
-
-// TestSubmitLimiter429: a Config.Limiter denial turns into 429 with the
-// limiter's Retry-After and a jobs_throttled_total increment, keyed by the
-// X-Conspec-Client header.
-func TestSubmitLimiter429(t *testing.T) {
-	fake := newFakeExec()
-	lim := &fakeLimiter{allow: 1}
-	_, ts := newTestServer(t, Config{Workers: 1, Limiter: lim}, fake)
-
-	body, _ := json.Marshal(JobSpec{Suite: "lru"})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body))
-	req.Header.Set("X-Conspec-Client", "alice")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit: status %d, want 202", resp.StatusCode)
-	}
-	<-fake.started
-
-	req, _ = http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body))
-	req.Header.Set("X-Conspec-Client", "alice")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("throttled submit: status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Fatalf("Retry-After = %q, want the limiter's 7", ra)
-	}
-
-	lim.mu.Lock()
-	seen := append([]string(nil), lim.seen...)
-	lim.mu.Unlock()
-	if len(seen) != 2 || seen[0] != "alice" || seen[1] != "alice" {
-		t.Fatalf("limiter saw clients %v, want [alice alice]", seen)
-	}
-
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !bytes.Contains(mb, []byte("conspec_served_jobs_throttled_total 1")) {
-		t.Fatalf("metrics missing throttle counter:\n%s", mb)
-	}
-	fake.releaseAll(1)
-}
 
 // TestCapacityOverride: Config.Capacity replaces the static worker count
 // in Retry-After math, degrading to 1 for an empty fleet.

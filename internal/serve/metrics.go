@@ -21,8 +21,8 @@ type CacheStats interface {
 // counters are the server's own /metrics counters. They live in the Server
 // under s.mu, beside the queued and running counts.
 type counters struct {
-	submitted, rejected, throttled, recovered uint64
-	done, failed, canceled                    uint64
+	submitted, rejected, recovered uint64
+	done, failed, canceled         uint64
 	// Engine-level run accounting, summed over finished jobs.
 	executed, memHits, diskHits, skippedCycles, skipSpans uint64
 }
@@ -64,7 +64,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	samples := []sample{
 		{"jobs_submitted_total", n.submitted},
 		{"jobs_rejected_total", n.rejected},
-		{"jobs_throttled_total", n.throttled},
 		{"jobs_recovered_total", n.recovered},
 		{"jobs_done_total", n.done},
 		{"jobs_failed_total", n.failed},

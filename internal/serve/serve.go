@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -94,10 +93,6 @@ type Config struct {
 	// capacity is dynamic. Zero capacity falls back to 1 (the estimate
 	// clamps at 600s anyway).
 	Capacity func() int
-	// Limiter, when non-nil, gates POST /v1/jobs per client with 429 +
-	// Retry-After before admission. Clients are identified by the
-	// X-Conspec-Client header when present, else the request's remote host.
-	Limiter SubmitLimiter
 	// Logf, when non-nil, receives one line per job lifecycle transition.
 	Logf func(format string, args ...any)
 	// SSEKeepalive is how often an idle event stream emits a comment frame
@@ -136,13 +131,6 @@ type ExecJob struct {
 	// job; it shows up as the status document's worker field and in
 	// conspec-ctl list. Safe to call repeatedly (re-leases overwrite).
 	SetWorker func(worker string)
-}
-
-// SubmitLimiter is the per-client admission gate behind Config.Limiter.
-// Allow spends one token for the client and reports whether the submission
-// may proceed; when it may not, retryAfter is the suggested wait.
-type SubmitLimiter interface {
-	Allow(client string) (ok bool, retryAfter time.Duration)
 }
 
 // Server owns the job table, the queue, and the worker pool. Create with
@@ -726,36 +714,7 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	return true
 }
 
-// clientID identifies the submitting client for quota accounting: the
-// X-Conspec-Client header when the client names itself, else the remote
-// host (every process behind one NAT shares a bucket — the coarse but safe
-// default).
-func clientID(r *http.Request) string {
-	if c := r.Header.Get("X-Conspec-Client"); c != "" {
-		return c
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Limiter != nil {
-		if ok, retryAfter := s.cfg.Limiter.Allow(clientID(r)); !ok {
-			secs := int((retryAfter + time.Second - 1) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			s.mu.Lock()
-			s.n.throttled++
-			s.mu.Unlock()
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			WriteError(w, http.StatusTooManyRequests, "client quota exceeded")
-			return
-		}
-	}
 	var spec JobSpec
 	if !ReadJSON(w, r, "job spec", &spec) {
 		return

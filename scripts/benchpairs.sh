@@ -1,24 +1,30 @@
 #!/bin/sh
 # benchpairs: measure the working tree against a parent revision in
-# alternating pairs of benchmark runs.
+# alternating pairs of benchmark runs, and gate the result.
 #
 #   sh scripts/benchpairs.sh PARENT WORKLOAD "SEEDS"
 #   make bench-pairs PARENT=<rev> WORKLOAD=fleet-mix SEEDS="1 2 3 4 5 6 7 8 9 10"
 #
 # The parent is exported with git archive into a temporary directory. Each
-# side builds and runs its own perfbench/run.sh (--trace 0, for
-# BENCHMARK.json's run_seconds), one run at a time: for the first, third,
+# side runs in its own checkout, one run at a time: for the first, third,
 # ... seed the parent runs first, for the others the working tree does, so
 # host drift falls on both sides alike.
-# Results and standard error of every run are kept under
-# .perfbench/pairs/WORKLOAD-<time>/. The summary, printed by
-# scripts/pairstat, is the table EXPERIMENTS.md uses: each side's median and
-# interquartile range, the change in %, "better in N/M" pairs, then the
-# same for the raw (unscaled) CPU figures. It also prints each binary's
-# calibration kernel, main.(*kernelState).run, as its address mod 64: a
+#
+# WORKLOAD is a BENCHMARK.json workload or go-bench. A perfbench workload
+# builds and runs each side's perfbench/run.sh (--trace 0, for
+# BENCHMARK.json's run_seconds) and keeps, per seed S, SIDE-S.json (its last
+# output line), SIDE-S.out and SIDE-S.err, plus SIDE.kernel: the binary's
+# calibration kernel, main.(*kernelState).run, as its address mod 64. A
 # kernel that moves within its cache line runs at another speed and skews
-# every scaled figure (about 5% for a 32-byte shift), which the raw figures
-# show.
+# every scaled figure (about 5% for a 32-byte shift), which the raw
+# (unscaled) CPU figures show. go-bench runs the tracked Go benchmarks once
+# per side and seed (the seed only names the pair) and keeps their output
+# as SIDE-S.bench.
+#
+# Everything stays under .perfbench/pairs/WORKLOAD-<time>/. scripts/pairstat
+# prints the tables EXPERIMENTS.md uses (medians, IQRs, change, "better in
+# N/M", sign-test p) and exits 1, failing this script, when the change
+# regressed significantly beyond a bound or failed where the parent did not.
 set -eu
 
 if [ $# -lt 3 ] || [ -z "$1" ] || [ -z "$2" ]; then
@@ -31,6 +37,13 @@ seeds=$3
 GO=${GO:-go}
 
 root=$(cd "$(dirname "$0")/.." && pwd)
+# The Go benchmarks go-bench tracks: the end-to-end Figure 5 evaluation,
+# per-simulation set-up on its own (generate, load and build the machine for
+# all 22 profiles), the engine's memo-hit path on its own (a warm defenses job
+# and a warm Figure 5 on one Runner), and the per-component microbenches.
+# pairstat gates the ns/op of Fig5 and the SecMatrix kernels.
+tracked='^(BenchmarkFig5|BenchmarkSimSetup|BenchmarkMemoHit|BenchmarkSimulatorThroughput|BenchmarkSecMatrixDispatch|BenchmarkSecMatrixHazardCheck|BenchmarkTPBufQuery|BenchmarkCacheAccess)$'
+
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' "$root/BENCHMARK.json")
 if [ -z "$seconds" ]; then
     echo "benchpairs: no run_seconds in BENCHMARK.json" >&2
@@ -48,6 +61,11 @@ echo "benchpairs: parent $(git -C "$root" rev-parse --short "$parent_rev") in $t
 # output for the summary, which reports it.
 run() {
     echo "benchpairs: $1 seed $3" >&2
+    if [ "$workload" = go-bench ]; then
+        (cd "$2" && $GO test -run '^$' -bench "$tracked" -benchmem -count 1 .) \
+            >"$out/$1-$3.bench" 2>&1 || echo "benchpairs: $1 seed $3 exited $?" >&2
+        return
+    fi
     bash "$2/perfbench/run.sh" --workload "$workload" --seed "$3" \
         --seconds "$seconds" --trace 0 >"$out/$1-$3.out" 2>"$out/$1-$3.err" ||
         echo "benchpairs: $1 seed $3 exited $?" >&2
@@ -72,7 +90,9 @@ for seed in $seeds; do
         run parent "$tmp" "$seed"
     fi
 done
-kernel parent "$tmp"
-kernel change "$root"
+if [ "$workload" != go-bench ]; then
+    kernel parent "$tmp"
+    kernel change "$root"
+fi
 
 (cd "$root" && $GO run ./scripts/pairstat -dir "$out")
