@@ -153,12 +153,17 @@ bench:
 
 # Paired benchmark runs against a parent revision, gated by scripts/pairstat
 # (see scripts/benchpairs.sh); a perfbench run's length is BENCHMARK.json's
-# run_seconds, WORKLOAD=go-bench pairs the tracked Go benchmarks.
+# run_seconds, WORKLOAD=go-bench pairs the tracked Go benchmarks. make exits 2
+# on any failure, so the last line says which: the gate tripped (the script's
+# 1) or a usage or set-up error (its 2).
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 bench-pairs:
 	@if [ -z "$(PARENT)" ] || [ -z "$(WORKLOAD)" ]; then \
-	    echo 'usage: make bench-pairs PARENT=<rev> WORKLOAD=<workload> [SEEDS="1 2 3"]'; exit 2; fi
-	sh scripts/benchpairs.sh "$(PARENT)" "$(WORKLOAD)" "$(SEEDS)"
+	    echo 'usage: make bench-pairs PARENT=<rev> WORKLOAD=<workload> [SEEDS="1 2 3"]'; \
+	    echo 'bench-pairs: usage error' >&2; exit 2; fi
+	@sh scripts/benchpairs.sh "$(PARENT)" "$(WORKLOAD)" "$(SEEDS)" || { s=$$?; \
+	    if [ $$s -eq 1 ]; then echo 'bench-pairs: the gate tripped (pairstat: FAIL lines above)' >&2; \
+	    else echo "bench-pairs: usage or set-up error (benchpairs.sh exited $$s)" >&2; fi; exit $$s; }
 
 # Stage shares of the cycle loop from a CPU profile of BenchmarkFig5 (see
 # scripts/profile.sh); the profile is kept in the temporary directory it

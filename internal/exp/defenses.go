@@ -130,10 +130,12 @@ func (r *Runner) Defenses(ctx context.Context, spec RunSpec, names []string, def
 		row.Recovered = o.Correct
 		row.SecretLen = len(o.Secret)
 		out.Rows[i] = row
-		r.emit(ProgressEvent{Suite: SuiteDefenses, Benchmark: d.Name(),
-			Mechanism: d.Title(), Phase: PhaseBenchDone,
-			Line: fmt.Sprintf("%-15s overhead %+6.2f%%  v1 %s", d.Name(),
-				100*row.Overhead, verdict(row.Leaked))})
+		if r.onEvent != nil {
+			r.emit(ProgressEvent{Suite: SuiteDefenses, Benchmark: d.Name(),
+				Mechanism: d.Title(), Phase: PhaseBenchDone,
+				Line: fmt.Sprintf("%-15s overhead %+6.2f%%  v1 %s", d.Name(),
+					100*row.Overhead, verdict(row.Leaked))})
+		}
 	}
 	return out, nil
 }

@@ -245,12 +245,12 @@ func (r *Runner) suiteSpan(suite SuiteID) trace.SpanID {
 
 // beginRunSpan opens the per-submission span under the suite span and
 // stamps the identifying annotations every run shares.
-func (r *Runner) beginRunSpan(suite SuiteID, p workload.Profile, spec RunSpec) trace.SpanID {
+func (r *Runner) beginRunSpan(suite SuiteID, bench string, spec *RunSpec) trace.SpanID {
 	if r.trace == nil {
 		return trace.NoSpan
 	}
-	sp := r.trace.Begin(r.suiteSpan(suite), "run:"+p.Name)
-	r.trace.Annotate(sp, "mechanism", mechLabel(spec))
+	sp := r.trace.Begin(r.suiteSpan(suite), "run:"+bench)
+	r.trace.Annotate(sp, "mechanism", mechLabel(*spec))
 	return sp
 }
 
@@ -362,11 +362,12 @@ func (r *Runner) runAll(ctx context.Context, suite SuiteID, reqs []runReq) ([]pi
 	errs := make([]error, len(reqs))
 	entries := make([]*cacheEntry, len(reqs))
 	var wg sync.WaitGroup
-	for i, q := range reqs {
+	for i := range reqs {
 		if err := r.stopped(ctx); err != nil {
 			errs[i] = err
 			continue
 		}
+		q := &reqs[i]
 		e, owned := r.lookup(suite, q)
 		entries[i] = e
 		if owned {
@@ -401,31 +402,42 @@ func (r *Runner) stopped(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// keyLocked returns q's run key; r.mu must be held. The key is rendered
+// (keyOf, a format of three structs and a hash) only the first time the
+// Runner sees the run, with r.mu released meanwhile; after that it comes
+// from r.keys, so a memo hit is one locked pair of map lookups. lookup and
+// memoHits both find a run's entry through it.
+func (r *Runner) keyLocked(q *runReq) runKey {
+	id := q
+	if q.spec.FlightWindow != 0 {
+		u := *q
+		u.spec.FlightWindow = 0
+		id = &u
+	}
+	if key, ok := r.keys[*id]; ok {
+		return key
+	}
+	r.mu.Unlock()
+	key := keyOf(q.p, q.spec)
+	r.mu.Lock()
+	r.keys[*id] = key
+	return key
+}
+
 // lookup resolves one run against the memo map and, on a miss, the
 // persistent store. The store is read outside r.mu — duplicates wait on
 // the entry as usual — and a hit fills the entry so later submissions are
 // memory hits. It returns the run's entry and whether the caller owns it:
 // an owned entry missed both tiers and the caller must fill it; any other
 // entry is done or being filled by its owner. A store-only Runner owns no
-// entry: a miss leaves the memo map and ends with ErrNotStored. The run's
-// key is rendered (keyOf, a format of three structs and a hash) only the
-// first time the Runner sees the run, outside r.mu; after that it comes
-// from r.keys, so a memo hit is one locked pair of map lookups.
-func (r *Runner) lookup(suite SuiteID, q runReq) (*cacheEntry, bool) {
-	id := q
-	id.spec.FlightWindow = 0
+// entry: a miss leaves the memo map and ends with ErrNotStored.
+func (r *Runner) lookup(suite SuiteID, q *runReq) (*cacheEntry, bool) {
 	r.mu.Lock()
-	key, ok := r.keys[id]
-	if !ok {
-		r.mu.Unlock()
-		key = keyOf(q.p, q.spec)
-		r.mu.Lock()
-		r.keys[id] = key
-	}
+	key := r.keyLocked(q)
 	if e, ok := r.cache[key]; ok {
 		r.stats.Hits++
 		r.mu.Unlock()
-		r.served(suite, q.p, q.spec, TierMemory)
+		r.served(suite, q, TierMemory)
 		return e, false
 	}
 	e := &cacheEntry{key: key, done: make(chan struct{})}
@@ -437,7 +449,7 @@ func (r *Runner) lookup(suite SuiteID, q runReq) (*cacheEntry, bool) {
 			r.mu.Lock()
 			r.stats.DiskHits++
 			r.mu.Unlock()
-			r.served(suite, q.p, q.spec, TierDisk)
+			r.served(suite, q, TierDisk)
 			close(e.done)
 			return e, false
 		}
@@ -454,16 +466,61 @@ func (r *Runner) lookup(suite SuiteID, q runReq) (*cacheEntry, bool) {
 	return e, true
 }
 
+// memoHits answers a batch from the memo map alone, on the calling
+// goroutine. When every run has a finished, successful entry it counts the
+// hits, reports each (served) and returns the results in request order.
+// Otherwise — a run is new, in flight or failed, or a store-only Runner has
+// already missed — it returns nil having counted and reported nothing, and
+// the batch is left to runAll.
+func (r *Runner) memoHits(suite SuiteID, reqs []runReq) []pipeline.Result {
+	if r.missed.Load() {
+		return nil
+	}
+	var buf [4]*cacheEntry // a suite's batch is 2–4 runs; a miss allocates nothing
+	entries := buf[:0]
+	r.mu.Lock()
+	for i := range reqs {
+		e := r.cache[r.keyLocked(&reqs[i])]
+		if e == nil || !e.finished() || e.err != nil {
+			r.mu.Unlock()
+			return nil
+		}
+		entries = append(entries, e)
+	}
+	r.stats.Hits += uint64(len(reqs))
+	r.mu.Unlock()
+	res := make([]pipeline.Result, len(reqs))
+	for i, e := range entries {
+		res[i] = e.res
+		r.served(suite, &reqs[i], TierMemory)
+	}
+	return res
+}
+
+// finished reports whether the entry's res and err are final.
+func (e *cacheEntry) finished() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // served reports a submission a cache tier answered: a run span annotated
 // with the tier, and a PhaseCached event.
-func (r *Runner) served(suite SuiteID, p workload.Profile, spec RunSpec, tier string) {
-	sp := r.beginRunSpan(suite, p, spec)
-	r.trace.Annotate(sp, "cache", "hit")
-	r.trace.Annotate(sp, "tier", tier)
-	r.trace.End(sp)
-	r.emit(ProgressEvent{Suite: suite, Benchmark: p.Name,
-		Mechanism: mechLabel(spec), Phase: PhaseCached, CacheHit: true,
-		Tier: tier})
+func (r *Runner) served(suite SuiteID, q *runReq, tier string) {
+	if r.trace != nil {
+		sp := r.beginRunSpan(suite, q.p.Name, &q.spec)
+		r.trace.Annotate(sp, "cache", "hit")
+		r.trace.Annotate(sp, "tier", tier)
+		r.trace.End(sp)
+	}
+	if r.onEvent != nil {
+		r.emit(ProgressEvent{Suite: suite, Benchmark: q.p.Name,
+			Mechanism: mechLabel(q.spec), Phase: PhaseCached, CacheHit: true,
+			Tier: tier})
+	}
 }
 
 // fill executes an owned entry's simulation, memoizes a success in both
@@ -498,7 +555,7 @@ func (r *Runner) execute(ctx context.Context, suite SuiteID, p workload.Profile,
 		return pipeline.Result{}, ctx.Err()
 	}
 	defer func() { <-r.sem }()
-	sp := r.beginRunSpan(suite, p, spec)
+	sp := r.beginRunSpan(suite, p.Name, &spec)
 	defer func() {
 		if err != nil {
 			r.trace.Annotate(sp, "error", err.Error())
@@ -576,16 +633,6 @@ func (r *Runner) execute(ctx context.Context, suite SuiteID, p workload.Profile,
 	return res, nil
 }
 
-// suiteErr filters one run's error at suite level: a failed run is already
-// recorded for Errors(), so the suite continues without it (nil); only
-// engine-wide cancellation propagates and aborts the suite.
-func suiteErr(ctx context.Context, err error) error {
-	if err == nil || ctx.Err() != nil {
-		return err
-	}
-	return nil
-}
-
 // resolveProfiles maps benchmark names (all 22 when nil) to profiles.
 func resolveProfiles(names []string) ([]workload.Profile, error) {
 	if names == nil {
@@ -602,38 +649,44 @@ func resolveProfiles(names []string) ([]workload.Profile, error) {
 	return profiles, nil
 }
 
-// eachProfile fans fn out across profiles, one goroutine per profile (the
-// Runner's worker pool bounds actual simulation concurrency), joins them
-// all, and returns ctx.Err() on cancellation or the first fn error
-// otherwise. fn gets the profile's index, so suites can keep per-profile
-// values in slices and aggregate them in profile order afterwards — float
-// sums taken in completion order would vary in their low bits with
-// scheduling. All goroutines have exited by the time it returns.
-func (r *Runner) eachProfile(ctx context.Context, profiles []workload.Profile, fn func(i int, p workload.Profile) error) error {
+// fanOut is every suite's fan-out over profiles. It runs each profile's
+// batch, reqs(p), and hands the results and errors, in request order, to
+// done(i, res, errs) with the profile's index i, so suites can aggregate in
+// profile order (float sums taken in completion order would vary in their
+// low bits with scheduling). A batch whose runs are all finished memo
+// entries is answered on the calling goroutine (memoHits): a warm job
+// starts no goroutine. Any other batch — a run to read from the store, to
+// execute or to wait for in flight — gets a goroutine that takes runAll, so
+// store reads and simulations of different profiles overlap (the worker
+// pool bounds simulation) and a job of disk hits keeps its goroutine per
+// profile. done may run on several goroutines at once, for different
+// profiles. No profile starts after ctx ends; fanOut returns ctx.Err()
+// once every goroutine has exited.
+func (r *Runner) fanOut(ctx context.Context, suite SuiteID, profiles []workload.Profile,
+	reqs func(p workload.Profile) []runReq, done func(i int, res []pipeline.Result, errs []error)) error {
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
+	var none []error // a memo-answered batch's errs, all nil
 	for i, p := range profiles {
+		if ctx.Err() != nil {
+			break
+		}
+		q := reqs(p)
+		if res := r.memoHits(suite, q); res != nil {
+			if len(none) < len(q) {
+				none = make([]error, len(q))
+			}
+			done(i, res, none[:len(q)])
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if ctx.Err() != nil {
-				return
-			}
-			if err := fn(i, p); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
+			res, errs := r.runAll(ctx, suite, q)
+			done(i, res, errs)
 		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return firstErr
+	return ctx.Err()
 }
 
 // profileRun is one profile's completed batch of runs.
@@ -642,27 +695,26 @@ type profileRun struct {
 	res []pipeline.Result
 }
 
-// profileRuns runs each profile's batch, reqs(p), through runAll, one
-// profile per goroutine, and returns the completed batches in profile
-// order, for the suite to aggregate in that order. A profile with a failed
-// run is left out, so it has no row and is not counted in an average; the
-// failure is already recorded for Errors(). When line is non-nil, each
+// profileRuns runs each profile's batch, reqs(p), through fanOut and
+// returns the completed batches in profile order, for the suite to
+// aggregate in that order. A profile with a failed run is left out, so it
+// has no row and is not counted in an average; the failure is already
+// recorded for Errors(). When line is non-nil and someone listens, each
 // completed profile emits a bench-done event carrying line(p, res). The
 // error is non-nil only on cancellation.
 func (r *Runner) profileRuns(ctx context.Context, suite SuiteID, profiles []workload.Profile,
 	reqs func(p workload.Profile) []runReq, line func(p workload.Profile, res []pipeline.Result) string) ([]profileRun, error) {
 	runs := make([]profileRun, len(profiles))
-	err := r.eachProfile(ctx, profiles, func(i int, p workload.Profile) error {
-		res, errs := r.runAll(ctx, suite, reqs(p))
-		if err := errors.Join(errs...); err != nil {
-			return suiteErr(ctx, err)
+	err := r.fanOut(ctx, suite, profiles, reqs, func(i int, res []pipeline.Result, errs []error) {
+		if errors.Join(errs...) != nil {
+			return
 		}
-		runs[i] = profileRun{p, res}
-		if line != nil {
+		p := &profiles[i]
+		runs[i] = profileRun{*p, res}
+		if line != nil && r.onEvent != nil {
 			r.emit(ProgressEvent{Suite: suite, Benchmark: p.Name, Phase: PhaseBenchDone,
-				Line: line(p, res)})
+				Line: line(*p, res)})
 		}
-		return nil
 	})
 	return slices.DeleteFunc(runs, func(pr profileRun) bool { return pr.res == nil }), err
 }

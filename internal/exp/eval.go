@@ -89,14 +89,16 @@ func (r *Runner) evaluation(ctx context.Context, suite SuiteID, spec RunSpec, na
 			Results:        make(map[core.Mechanism]pipeline.Result),
 		}
 	}
-	err = r.eachProfile(ctx, profiles, func(i int, p workload.Profile) error {
+	err = r.fanOut(ctx, suite, profiles, func(p workload.Profile) []runReq {
 		reqs := make([]runReq, len(core.Mechanisms))
 		for k, m := range core.Mechanisms {
 			s := spec
 			s.Sec.Mechanism = m
 			reqs[k] = runReq{p, s}
 		}
-		res, errs := r.runAll(ctx, suite, reqs)
+		return reqs
+	}, func(i int, res []pipeline.Result, errs []error) {
+		b := &ev.Benches[i]
 		for k, m := range core.Mechanisms {
 			// A failed run is recorded for Errors(); the benchmark's
 			// result map simply lacks this mechanism. Only engine-wide
@@ -104,13 +106,14 @@ func (r *Runner) evaluation(ctx context.Context, suite SuiteID, spec RunSpec, na
 			if errs[k] != nil {
 				continue
 			}
-			ev.Benches[i].Results[m] = res[k]
-			r.emit(ProgressEvent{Suite: suite, Benchmark: p.Name,
-				Mechanism: m.String(), Phase: PhaseBenchDone, Cycles: res[k].Cycles,
-				Line: fmt.Sprintf("%-12s %-34s %8d cycles (IPC %.2f)",
-					p.Name, m, res[k].Cycles, res[k].IPC())})
+			b.Results[m] = res[k]
+			if r.onEvent != nil {
+				r.emit(ProgressEvent{Suite: suite, Benchmark: b.Name,
+					Mechanism: m.String(), Phase: PhaseBenchDone, Cycles: res[k].Cycles,
+					Line: fmt.Sprintf("%-12s %-34s %8d cycles (IPC %.2f)",
+						b.Name, m, res[k].Cycles, res[k].IPC())})
+			}
 		}
-		return nil
 	})
 	ev.tabulate()
 	return ev, err

@@ -268,8 +268,10 @@ func (r *Runner) Table4(ctx context.Context, cfg config.Core) ([]attack.Outcome,
 			return out, err
 		}
 		out = append(out, o)
-		r.emit(ProgressEvent{Suite: SuiteTable4, Benchmark: o.Scenario,
-			Mechanism: o.Defense.Title(), Phase: PhaseBenchDone, Line: o.String()})
+		if r.onEvent != nil {
+			r.emit(ProgressEvent{Suite: SuiteTable4, Benchmark: o.Scenario,
+				Mechanism: o.Defense.Title(), Phase: PhaseBenchDone, Line: o.String()})
+		}
 	}
 	return out, nil
 }

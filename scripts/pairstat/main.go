@@ -17,7 +17,7 @@
 // regressed significantly beyond its bound: the change's median is worse by
 // more than the bound and the sign test gives p < alpha (with ten pairs:
 // worse in at least nine). The end-to-end metrics are gated at their
-// BENCHMARK.json bounds, the ns/op of goBenchGate's benchmarks at goBenchBound.
+// BENCHMARK.json bounds, goBenchGate's go-bench metrics at goBenchBound.
 package main
 
 import (
@@ -34,10 +34,14 @@ import (
 	"strings"
 )
 
-// The go-bench gate: the Figure 5 evaluation and the SecMatrix kernels may
-// not regress their ns/op by more than 5%. The other tracked benchmarks are
-// printed but not gated.
-var goBenchGate = regexp.MustCompile(`^Benchmark(Fig5|SecMatrix)`)
+// The go-bench gate, by unit: the Figure 5 evaluation and the SecMatrix
+// kernels may not regress their ns/op by more than 5%, nor the memo-hit path
+// its allocs/op, a count that timing noise does not move. The other tracked
+// benchmarks and units are printed but not gated.
+var goBenchGate = map[string]*regexp.Regexp{
+	"ns/op":     regexp.MustCompile(`^Benchmark(Fig5|SecMatrix)`),
+	"allocs/op": regexp.MustCompile(`^BenchmarkMemoHit$`),
+}
 
 const (
 	goBenchBound = 0.05
@@ -226,7 +230,7 @@ func parseBenchOutput(out string) (map[string]float64, []metricDef, result) {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if u := f[i+1]; err == nil && (u == "ns/op" || u == "B/op" || u == "allocs/op") {
 				d := metricDef{Name: sub[1] + " " + u, Better: "lower"}
-				if u == "ns/op" && goBenchGate.MatchString(sub[1]) {
+				if g := goBenchGate[u]; g != nil && g.MatchString(sub[1]) {
 					d.Bound = goBenchBound
 				}
 				m[d.Name] = v

@@ -150,6 +150,36 @@ func TestGoBenchUngatedPrinted(t *testing.T) {
 	}
 }
 
+// BenchmarkMemoHit's allocs/op is gated, its ns/op is not: allocations
+// 10% up in every pair fail, a 30% slower ns/op alone passes.
+func TestGoBenchMemoHitAllocsGated(t *testing.T) {
+	for _, c := range []struct {
+		allocs, ns float64
+		fail       bool
+	}{{1.1, 1, true}, {1, 1.3, false}, {0.5, 1, false}} {
+		dir := t.TempDir()
+		for s := 1; s <= 10; s++ {
+			for side, f := range map[string][2]float64{"parent": {1, 1}, "change": {c.allocs, c.ns}} {
+				out := fmt.Sprintf("BenchmarkMemoHit-2   \t    1000\t%.0f ns/op\t  722768 B/op\t  %.0f allocs/op\nPASS\n",
+					7e5*f[1]*(1+0.01*float64(s)), 627*f[0])
+				if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%s-%d.bench", side, s)), []byte(out), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		failures, out := summarizeT(t, dir)
+		tripped := len(failures) == 1 && strings.HasPrefix(failures[0], "BenchmarkMemoHit allocs/op worse by 10.0% (bound 5%)")
+		if c.fail && !tripped || !c.fail && len(failures) != 0 {
+			t.Errorf("allocs ×%v, ns ×%v: failures = %q\n%s", c.allocs, c.ns, failures, out)
+		}
+		for _, row := range []string{"| `BenchmarkMemoHit allocs/op` | 5% |", "| `BenchmarkMemoHit ns/op` | – |"} {
+			if !strings.Contains(out, row) {
+				t.Errorf("missing row %q:\n%s", row, out)
+			}
+		}
+	}
+}
+
 func TestParseBenchCustomMetrics(t *testing.T) {
 	line := "BenchmarkFig5-2   \t       1\t2812888957 ns/op\t       119.1 baseline-ovh-%\t        84.35 cachehit-ovh-%\t        25.83 tpbuf-ovh-%\t444565320 B/op\t  109187 allocs/op"
 	m, defs, r := parseBenchOutput("goos: linux\n" + line + "\nPASS\nok  \tconspec\t3.1s\n")
